@@ -57,8 +57,8 @@ Subcommands:
   --fleet`` and ``diff --fleet`` read the recorded fleets back.
 
 Plain ``run`` executes through a *transient in-process service* (the
-same code path the daemon's workers run; ``--direct`` bypasses it) —
-outputs are bit-identical either way, down to per-tile CRCs.
+same code path the daemon's workers run) — bit-identical to a plain
+:func:`~repro.harness.runner.run_workload` call, down to per-tile CRCs.
 
 Cross-run registry: ``run`` and ``sweep`` record a manifest of every
 completed run (what ran, git revision, headline numbers, artifact
@@ -354,7 +354,7 @@ def _run_needs_direct_path(args) -> bool:
     plumbing, run manifests and the per-stage profiler stay on the
     original :func:`run_workload` call."""
     return bool(
-        args.direct or args.resume or args.checkpoint_at
+        args.resume or args.checkpoint_at
         or args.checkpoint_out or args.manifest or args.profile
     )
 
@@ -464,7 +464,8 @@ def _cmd_run(args) -> int:
         else:
             # Default path: a transient in-process service — the exact
             # code the daemon's workers run, bit-identical to the
-            # direct call above (tests/service/test_cli.py pins this).
+            # run_workload call above (tests/service/test_cli.py pins
+            # this).
             from .service import run_job_inprocess
 
             run = run_job_inprocess(
@@ -1528,10 +1529,6 @@ def main(argv=None) -> int:
     run.add_argument("--tenant", default=None,
                      help="record this run under a tenant namespace of "
                           "the registry (the service daemon's layout)")
-    run.add_argument("--direct", action="store_true",
-                     help="bypass the in-process service path and call "
-                          "the runner directly (bit-identical output; "
-                          "exists for differential testing)")
     _add_observability_flags(run)
     _add_registry_flags(run, suppress=True)
     swp = sub.add_parser(

@@ -104,7 +104,7 @@ class RunCache:
                  processes: int = None, policy=None,
                  journal_path=None, fault_spec=None) -> int:
         """Populate the cache for an ``aliases x techniques`` grid,
-        optionally fanning the missing cells across a process pool (see
+        optionally fanning the missing cells across worker processes (see
         :mod:`repro.harness.parallel`).  Returns the number of cells
         actually simulated.
 

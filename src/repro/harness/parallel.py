@@ -1,10 +1,10 @@
-"""Process-pool harness runner: fan independent cells across workers.
+"""Harness cell runner: fan independent cells across workers.
 
 A *cell* is one independent (workload, technique) simulation —
 :func:`repro.harness.runner.run_workload` with fixed arguments.  Cells
 share no simulator state (each builds its own scene and GPU), so a run
-matrix parallelizes trivially across ``multiprocessing`` workers; the
-suite and the experiment cache both fan out through :func:`run_cells`.
+matrix parallelizes trivially; the suite, sweeps and the experiment
+cache all fan out through :func:`run_cells`.
 
 Determinism: every cell derives a seed from its own identity
 (:func:`cell_seed`) and reseeds NumPy's legacy global generator before
@@ -13,17 +13,14 @@ whether it runs serially, in any worker, or in any order.  (Workload
 content already uses explicit per-scene generators; the reseeding
 guards any library code that reaches for global randomness.)
 
-``processes`` in ``(None, 0, 1)`` selects the serial fallback, which
-runs cells in-process (and therefore shares the in-process raster/shade
-memos — fastest on single-core machines).
-
-Fault tolerance: the plain pool path assumes every worker succeeds — a
-hung or crashed cell takes the whole ``pool.map`` down with it.  Passing
-``policy`` (and/or ``journal_path`` / ``fault_spec``) routes the run
-through :mod:`repro.harness.supervisor` instead: per-cell wall-clock
-timeouts, bounded retry with exponential backoff, crash isolation, and
-checkpoint-based recovery, with every attempt recorded in a JSONL run
-journal.
+A cell runs in one of two ways.  Serial, unsupervised runs
+(``processes`` in ``(None, 0, 1)``, or a single cell) execute
+in-process — the reference path, sharing the in-process raster/shade
+memos.  Everything else runs on the supervisor's persistent workers
+(:func:`repro.harness.supervisor.supervise_cells`); without a caller
+``policy`` that is fail-fast (no retries), and passing ``policy`` /
+``journal_path`` / ``fault_spec`` adds per-cell timeouts, bounded retry
+with backoff, checkpoint recovery and a JSONL run journal.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ import typing
 import numpy as np
 
 from ..config import GpuConfig
-from ..errors import ReproError, SupervisionError
+from ..errors import ReproError
 from .runner import run_workload
 
 
@@ -78,7 +75,10 @@ def cell_seed(cell: Cell) -> int:
 
 
 def cell_label(cell: Cell) -> str:
-    """Human-readable cell identity used by journals and fault specs."""
+    """Human-readable cell identity keying journals and live rows: the
+    cell's tag when set (sweep points), else ``alias/technique``."""
+    if cell.tag is not None:
+        return cell.tag
     return f"{cell.alias}/{cell.technique}"
 
 
@@ -142,167 +142,85 @@ def coerce_cells(cells: typing.Sequence) -> list:
     return list(dict.fromkeys(coerced))
 
 
-#: Telemetry queue a pool worker posts to; installed per worker process
-#: by :func:`_pool_live_init` (queues travel to pool workers through the
-#: initializer, not through pickled map payloads).
-_LIVE_CHANNEL = None
-
-
-def _pool_live_init(queue) -> None:
-    global _LIVE_CHANNEL
-    _LIVE_CHANNEL = queue
-
-
-def _live_sink(cell: Cell, channel=None):
-    """Worker-side live sink for a cell, or ``None`` when disabled."""
-    channel = channel if channel is not None else _LIVE_CHANNEL
-    if channel is None:
-        return None
-    from ..obs.live import ChannelLiveSink
-
-    return ChannelLiveSink(channel, cell_label(cell))
-
-
-def _run_cell(payload: tuple) -> tuple:
-    """Worker body: run one cell; returns ``(cell, RunResult)``."""
-    cell, config, trace_path, metrics_path = payload
-    np.random.seed(cell_seed(cell))
-    result = run_workload(
-        cell.alias, cell.technique, config=cell.config or config,
-        num_frames=cell.num_frames,
-        exact_signatures=cell.exact_signatures,
-        trace_path=trace_path, metrics_path=metrics_path,
-        live=_live_sink(cell),
-    )
-    return cell, result
-
-
 def run_cells(cells: typing.Sequence, config: GpuConfig = None,
               processes: int = None, policy=None, journal_path=None,
               fault_spec=None, workdir=None, trace_path=None,
               metrics_path=None, live=None) -> dict:
     """Run every cell, returning ``{cell: RunResult}``.
 
-    ``processes`` > 1 fans cells across a process pool (capped at the
-    machine's CPU count); ``None``/``0``/``1`` runs serially in-process.
-    Results are keyed by cell regardless of completion order, so callers
-    see the same mapping either way.
+    ``processes`` > 1 fans cells across the supervisor's persistent
+    workers (capped at the cell count); ``None``/``0``/``1`` runs
+    serially in-process.  Results are keyed by cell regardless of
+    completion order, so callers see the same mapping either way.
 
     ``trace_path`` / ``metrics_path`` record per-run observability
     (:mod:`repro.obs`) for every cell; with more than one cell the
-    paths are suffixed per cell, the same scheme the supervisor uses.
-    Derived paths are checked for collisions up front — two cells whose
-    sanitized names map to the same file raise instead of overwriting
-    each other.
+    paths are suffixed per cell (:func:`per_cell_path`).  Derived paths
+    are checked for collisions up front — two cells whose sanitized
+    names map to the same file raise instead of overwriting each other.
 
-    ``live`` accepts a :class:`~repro.obs.live.LiveAggregator`: workers
+    ``live`` accepts a :class:`~repro.obs.live.LiveAggregator`: cells
     stream per-frame progress/counters to it and it maintains the
-    status table + ``live.json`` heartbeat while the pool runs.
+    status table + ``live.json`` heartbeat while the run goes.
 
     Passing any of ``policy`` (a
     :class:`~repro.harness.supervisor.SupervisorPolicy`),
-    ``journal_path`` or ``fault_spec`` runs the cells under the
-    fault-tolerant supervisor instead of the bare pool; cells that still
-    fail after the policy's retries raise :class:`SupervisionError`
-    (successful cells' results are attached to the exception).
+    ``journal_path`` or ``fault_spec`` supervises even a serial run,
+    retrying per the policy (default :class:`SupervisorPolicy`); a plain
+    parallel run retries nothing.  Cells that still fail raise
+    :class:`SupervisionError` with the successful cells' results
+    attached.
     """
     cells = coerce_cells(cells)
     config = config or GpuConfig.benchmark()
+    supervised = (
+        policy is not None or journal_path is not None
+        or fault_spec is not None
+    )
+    if not supervised and (processes in (None, 0, 1) or len(cells) <= 1):
+        return _run_in_process(cells, config, trace_path, metrics_path,
+                               live)
 
-    if policy is not None or journal_path is not None or fault_spec is not None:
-        from .supervisor import supervise_cells
+    from .supervisor import SupervisorPolicy, supervise_cells
 
-        supervised = supervise_cells(
-            cells, config=config, policy=policy, processes=processes,
-            journal_path=journal_path, fault_spec=fault_spec,
-            workdir=workdir, trace_path=trace_path,
-            metrics_path=metrics_path, live=live,
-        )
-        failed = supervised.failed
-        if failed:
-            raise SupervisionError(
-                "supervised run failed for "
-                + ", ".join(sorted(cell_label(c) for c in failed)),
-                supervised,
-            )
-        return supervised.results()
+    if not supervised:
+        policy = SupervisorPolicy(max_retries=0)    # fail fast
+    return supervise_cells(
+        cells, config=config, policy=policy, processes=processes,
+        journal_path=journal_path, fault_spec=fault_spec, workdir=workdir,
+        trace_path=trace_path, metrics_path=metrics_path, live=live,
+    ).raise_on_failure().results()
 
+
+def _run_in_process(cells: list, config: GpuConfig, trace_path,
+                    metrics_path, live) -> dict:
+    """The serial reference path: each cell through :func:`run_workload`
+    in this process."""
     many = len(cells) > 1
-    payloads = [
-        (cell, config,
-         per_cell_path(trace_path, cell, index, many),
-         per_cell_path(metrics_path, cell, index, many))
-        for index, cell in enumerate(cells)
-    ]
-    ensure_unique_paths([p[2] for p in payloads], "trace")
-    ensure_unique_paths([p[3] for p in payloads], "metrics")
-    if processes in (None, 0, 1) or len(cells) <= 1:
-        results = {}
-        for payload in payloads:
-            if live is not None:
-                # In-process: the sink posts straight to the aggregator.
-                sink = _live_sink(payload[0], channel=live)
-                cell, result = _run_cell_with_live(payload, sink)
-            else:
-                cell, result = _run_cell(payload)
-            results[cell] = result
+    traces = [per_cell_path(trace_path, cell, index, many)
+              for index, cell in enumerate(cells)]
+    metrics = [per_cell_path(metrics_path, cell, index, many)
+               for index, cell in enumerate(cells)]
+    ensure_unique_paths(traces, "trace")
+    ensure_unique_paths(metrics, "metrics")
+    from ..obs.live import ChannelLiveSink
+
+    results = {}
+    try:
+        for cell, cell_trace, cell_metrics in zip(cells, traces, metrics):
+            np.random.seed(cell_seed(cell))
+            results[cell] = run_workload(
+                cell.alias, cell.technique, config=cell.config or config,
+                num_frames=cell.num_frames,
+                exact_signatures=cell.exact_signatures,
+                trace_path=cell_trace, metrics_path=cell_metrics,
+                live=(ChannelLiveSink(live, cell_label(cell))
+                      if live is not None else None),
+            )
+    finally:
         if live is not None:
             live.close()
-        return results
-
-    import multiprocessing
-
-    # Capped by the cell count only: requesting more workers than cores
-    # merely timeslices, and single-core machines can still exercise the
-    # pool path.
-    workers = min(int(processes), len(cells))
-    if live is None:
-        with multiprocessing.Pool(workers) as pool:
-            return dict(pool.map(_run_cell, payloads))
-
-    queue = multiprocessing.Queue()
-    try:
-        with multiprocessing.Pool(
-            workers, initializer=_pool_live_init, initargs=(queue,),
-        ) as pool:
-            async_result = pool.map_async(_run_cell, payloads)
-            while not async_result.ready():
-                _drain_live_queue(queue, live, timeout=0.1)
-                live.tick()
-            results = dict(async_result.get())
-        _drain_live_queue(queue, live, timeout=0.0)
-        return results
-    finally:
-        live.close()
-        queue.close()
-
-
-def _run_cell_with_live(payload: tuple, sink) -> tuple:
-    """Serial-path worker body with an in-process live sink attached."""
-    cell, config, trace_path, metrics_path = payload
-    np.random.seed(cell_seed(cell))
-    result = run_workload(
-        cell.alias, cell.technique, config=cell.config or config,
-        num_frames=cell.num_frames,
-        exact_signatures=cell.exact_signatures,
-        trace_path=trace_path, metrics_path=metrics_path,
-        live=sink,
-    )
-    return cell, result
-
-
-def _drain_live_queue(queue, live, timeout: float) -> None:
-    """Forward queued worker telemetry to the aggregator."""
-    import queue as queue_module
-
-    while True:
-        try:
-            message = queue.get(
-                timeout=timeout) if timeout else queue.get_nowait()
-        except (queue_module.Empty, OSError, EOFError):
-            return
-        live.update(message)
-        timeout = 0.0
+    return results
 
 
 def run_matrix(aliases: typing.Sequence, techniques: typing.Sequence,
@@ -322,27 +240,3 @@ def run_matrix(aliases: typing.Sequence, techniques: typing.Sequence,
     return {
         (cell.alias, cell.technique): run for cell, run in results.items()
     }
-
-
-def merged_totals(results: dict) -> dict:
-    """Aggregate stats across a :func:`run_matrix` result, per technique.
-
-    Returns ``{technique: {cells, frames, total_cycles, total_energy_nj,
-    fragments_shaded, tiles_skipped, traffic_bytes}}`` — the merged view
-    a fleet of workers reports back to the suite.
-    """
-    merged: dict = {}
-    for (_, technique), run in results.items():
-        bucket = merged.setdefault(technique, {
-            "cells": 0, "frames": 0, "total_cycles": 0,
-            "total_energy_nj": 0.0, "fragments_shaded": 0,
-            "tiles_skipped": 0, "traffic_bytes": 0,
-        })
-        bucket["cells"] += 1
-        bucket["frames"] += run.num_frames
-        bucket["total_cycles"] += run.total_cycles
-        bucket["total_energy_nj"] += run.total_energy_nj
-        bucket["fragments_shaded"] += run.fragments_shaded
-        bucket["tiles_skipped"] += run.tiles_skipped
-        bucket["traffic_bytes"] += run.total_traffic_bytes
-    return merged

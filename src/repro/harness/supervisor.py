@@ -1,10 +1,14 @@
 """Supervised, fault-tolerant experiment orchestration.
 
-:func:`supervise_cells` runs a matrix of independent harness cells the
-way a production fleet would: every *attempt* of every cell executes in
-its own child process, so a crashed or wedged simulation loses only that
-cell — never the run.  The supervisor adds, on top of the bare process
-pool in :mod:`repro.harness.parallel`:
+:func:`supervise_cells` is the one multi-process substrate for harness
+cells: every parallel run — ``run_cells``, sweeps, experiment prefetch,
+fleet points — executes here.  It keeps up to ``processes`` persistent
+worker processes; each loops over cells the supervisor hands it and
+keeps its content-keyed raster/shade/tile memos between them, and an
+idle worker is handed the next cell of the game it last rendered, so a
+game's techniques reuse one warm worker.  A crashed or wedged worker
+loses only its cell — never the run — and is replaced by a fresh one.
+On top of that the supervisor adds:
 
 * **per-cell wall-clock timeouts** — an attempt that exceeds
   ``SupervisorPolicy.timeout_s`` is terminated and treated like a crash;
@@ -13,8 +17,8 @@ pool in :mod:`repro.harness.parallel`:
   ``backoff_base_s * backoff_factor**(attempt-1)`` (capped at
   ``backoff_max_s``) between attempts;
 * **crash detection** — a worker that dies without reporting (killed,
-  segfault, ``os._exit``) is detected by its closed result pipe and
-  exit code, and only its cell is rescheduled;
+  segfault, ``os._exit``) is detected by its closed pipe and exit
+  code; only its cell is rescheduled, on a freshly forked worker;
 * **checkpoint recovery** — with ``checkpoint_stride > 0`` the worker
   saves a :class:`~repro.engine.session.RenderSession` checkpoint every
   ``stride`` frames (atomically; see
@@ -319,7 +323,7 @@ def _attempt_main(conn, cell: Cell, config: GpuConfig,
                   policy: SupervisorPolicy, attempt: int, ckpt_path,
                   fault: FaultSpec, trace_path=None,
                   metrics_path=None, live_enabled: bool = False) -> None:
-    """Child body: run (or resume) one cell, reporting over ``conn``.
+    """Run (or resume) one cell in a worker, reporting over ``conn``.
 
     Messages: ``("progress", frames_rendered)`` after every stride
     boundary (its checkpoint, if any, is already on disk), then exactly
@@ -402,10 +406,25 @@ def _attempt_main(conn, cell: Cell, config: GpuConfig,
                 pass
         if metrics is not None:
             metrics.close()
+
+
+def _worker_main(conn, parent_conn) -> None:
+    """Persistent worker body: run cells until ``("stop",)`` or EOF.
+
+    Each ``("cell", *args)`` message is one :func:`_attempt_main` call
+    on ``conn``.  Between cells the worker keeps its process-wide
+    content memos warm.  Closing the inherited parent end first means
+    an idle worker reads EOF, and exits, if the supervisor dies.
+    """
+    parent_conn.close()
+    while True:
         try:
-            conn.close()
-        except OSError:
-            pass
+            message = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            return
+        if message[0] == "stop":
+            return
+        _attempt_main(conn, *message[1:])
 
 
 # ----------------------------------------------------------------------
@@ -428,13 +447,16 @@ class _CellState:
 
 
 @dataclasses.dataclass
-class _Active:
-    """One in-flight attempt."""
+class _Worker:
+    """One persistent worker process and the attempt it is running."""
 
-    state: _CellState
     process: object
     conn: object
+    #: The in-flight cell; ``None`` while the worker is idle.
+    state: _CellState = None
     deadline: float = None
+    #: Alias of the last cell dispatched here (its memos are warm).
+    last_alias: str = None
 
 
 def _mp_context():
@@ -452,8 +474,13 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
                     progress_hook=None) -> SupervisedRun:
     """Run every cell under supervision; never raises for cell failures.
 
-    ``processes`` bounds how many attempts run concurrently (default 1 —
-    still fully supervised, one isolated worker at a time).  ``workdir``
+    ``processes`` bounds how many persistent workers run attempts
+    concurrently (default 1 — still fully supervised, one isolated
+    worker at a time).  A worker that reports ``ok`` or ``error`` takes
+    the next cell with its memos warm, preferring the first eligible
+    cell of the game it last ran, then one of a game no other worker is
+    rendering; a crashed or timed-out worker is dropped and a fresh one
+    is forked on the next dispatch.  ``workdir``
     holds the per-cell recovery checkpoints; if omitted a temporary
     directory is used and removed afterwards.  In a caller-provided
     ``workdir``, checkpoints of cells that never succeed are *kept*, so
@@ -546,28 +573,39 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         policy=dataclasses.asdict(policy),
         fault=str(fault) if fault else None,
     )
+    telemetry = live is not None or progress_hook is not None
 
-    active: dict = {}      # id(_CellState) -> _Active
+    workers: list = []     # _Worker, at most ``width``
     outcomes: dict = {}    # Cell -> CellOutcome
 
-    def launch(state: _CellState) -> None:
-        state.attempt += 1
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+    def spawn() -> _Worker:
+        parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
-            target=_attempt_main,
-            args=(child_conn, state.cell, state.config, policy,
-                  state.attempt, state.ckpt_path, fault,
-                  state.trace_path, state.metrics_path,
-                  live is not None or progress_hook is not None),
+            target=_worker_main, args=(child_conn, parent_conn),
             daemon=True,
         )
         process.start()
         child_conn.close()
-        deadline = (
+        worker = _Worker(process, parent_conn)
+        workers.append(worker)
+        return worker
+
+    def dispatch(worker: _Worker, state: _CellState) -> None:
+        state.attempt += 1
+        worker.state = state
+        worker.last_alias = state.cell.alias
+        worker.deadline = (
             time.monotonic() + policy.timeout_s
             if policy.timeout_s else None
         )
-        active[id(state)] = _Active(state, process, parent_conn, deadline)
+        try:
+            worker.conn.send((
+                "cell", state.cell, state.config, policy, state.attempt,
+                state.ckpt_path, fault, state.trace_path,
+                state.metrics_path, telemetry,
+            ))
+        except OSError:
+            pass        # died while idle: drain() reads its EOF as a crash
         extra = {}
         if state.trace_path is not None:
             extra["trace"] = str(state.trace_path)
@@ -576,18 +614,25 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         journal.append(
             "attempt_start", cell=cell_label(state.cell),
             attempt=state.attempt, resume_frame=state.checkpoint_frame,
-            num_frames=state.cell.num_frames, pid=process.pid, **extra,
+            num_frames=state.cell.num_frames, pid=worker.process.pid,
+            **extra,
         )
 
-    def reap(entry: _Active) -> None:
+    def reap(worker: _Worker) -> None:
         try:
-            entry.conn.close()
+            worker.conn.close()
         except OSError:
             pass
-        entry.process.join(timeout=5)
-        if entry.process.is_alive():        # pragma: no cover - safety net
-            entry.process.kill()
-            entry.process.join()
+        worker.process.join(timeout=5)
+        if worker.process.is_alive():       # pragma: no cover - safety net
+            worker.process.kill()
+            worker.process.join()
+
+    def retire(worker: _Worker) -> None:
+        """Drop a crashed or killed worker; the next dispatch forks a
+        fresh one in its place."""
+        workers.remove(worker)
+        reap(worker)
 
     def retry_or_fail(state: _CellState, kind: str, **fields) -> None:
         journal.append(
@@ -639,15 +684,15 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
         if state.ckpt_path is not None and os.path.exists(state.ckpt_path):
             os.remove(state.ckpt_path)
 
-    def drain(entry: _Active):
+    def drain(worker: _Worker):
         """Pull queued messages; returns the final message, ``("eof",)``
         on a dead pipe, or ``None`` while the attempt is still going.
         Telemetry records are routed to the live aggregator in passing."""
         while True:
             try:
-                if not entry.conn.poll():
+                if not worker.conn.poll():
                     return None
-                message = entry.conn.recv()
+                message = worker.conn.recv()
             except (EOFError, OSError):
                 return ("eof",)
             if message[0] == "telemetry":
@@ -661,24 +706,43 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
             frames = int(message[1])
             if progress_hook is not None:
                 progress_hook("progress", frames)
-            if (entry.state.ckpt_path is not None
-                    and frames < entry.state.cell.num_frames):
-                entry.state.checkpoint_frame = frames
+            if (worker.state.ckpt_path is not None
+                    and frames < worker.state.cell.num_frames):
+                worker.state.checkpoint_frame = frames
 
     try:
-        while pending or active:
+        while pending or any(w.state is not None for w in workers):
             now = time.monotonic()
 
-            # Launch every eligible pending cell while there is room.
-            while len(active) < width:
+            # Hand eligible cells to idle workers, forking new ones while
+            # there is room.  A worker prefers its last game's next cell
+            # (its memos are warm for it), then a game no other worker
+            # is rendering, so one game's techniques share one worker.
+            while pending:
                 eligible = [s for s in pending if s.next_eligible <= now]
                 if not eligible:
                     break
-                state = eligible[0]
+                worker = next((w for w in workers if w.state is None), None)
+                if worker is None:
+                    if len(workers) >= width:
+                        break
+                    worker = spawn()
+                busy_aliases = {
+                    w.state.cell.alias for w in workers
+                    if w.state is not None
+                }
+                state = next(
+                    (s for s in eligible
+                     if s.cell.alias == worker.last_alias),
+                    next((s for s in eligible
+                          if s.cell.alias not in busy_aliases),
+                         eligible[0]),
+                )
                 pending.remove(state)
-                launch(state)
+                dispatch(worker, state)
 
-            if not active:
+            busy = [w for w in workers if w.state is not None]
+            if not busy:
                 # Everything pending is backing off; sleep to eligibility.
                 wake = min(s.next_eligible for s in pending)
                 time.sleep(max(0.0, min(wake - time.monotonic(),
@@ -687,39 +751,38 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
 
             # Wait for worker traffic (bounded so deadlines stay live).
             wait_s = policy.poll_interval_s
-            deadlines = [a.deadline for a in active.values() if a.deadline]
+            deadlines = [w.deadline for w in busy if w.deadline]
             if deadlines:
                 wait_s = min(wait_s, max(0.0, min(deadlines) - now))
             multiprocessing.connection.wait(
-                [a.conn for a in active.values()], timeout=wait_s
+                [w.conn for w in busy], timeout=wait_s
             )
             if live is not None:
                 live.tick()
 
-            for key in list(active):
-                entry = active[key]
-                state = entry.state
-                message = drain(entry)
+            for worker in busy:
+                state = worker.state
+                message = drain(worker)
                 if message is None:
-                    if (entry.deadline is not None
-                            and time.monotonic() >= entry.deadline):
-                        entry.process.terminate()
-                        reap(entry)
-                        del active[key]
+                    if (worker.deadline is not None
+                            and time.monotonic() >= worker.deadline):
+                        worker.process.terminate()
+                        retire(worker)
                         retry_or_fail(
                             state, "timeout", timeout_s=policy.timeout_s,
                         )
                     continue
-                reap(entry)
-                del active[key]
+                if message[0] == "eof":     # died without reporting
+                    retire(worker)
+                    retry_or_fail(
+                        state, "crash", exitcode=worker.process.exitcode,
+                    )
+                    continue
+                worker.state = None
                 if message[0] == "ok":
                     succeed(state, message[1], int(message[2]))
-                elif message[0] == "error":
+                else:
                     retry_or_fail(state, "error", error=message[1])
-                else:  # eof: worker died without reporting
-                    retry_or_fail(
-                        state, "crash", exitcode=entry.process.exitcode,
-                    )
 
         journal.append(
             "run_complete",
@@ -727,9 +790,16 @@ def supervise_cells(cells: typing.Sequence, config: GpuConfig = None,
             failed=sum(1 for o in outcomes.values() if not o.succeeded),
         )
     finally:
-        for entry in active.values():       # pragma: no cover - safety net
-            entry.process.terminate()
-            reap(entry)
+        for worker in workers:
+            if worker.state is not None:    # interrupted mid-attempt
+                worker.process.terminate()
+            else:
+                try:
+                    worker.conn.send(("stop",))
+                except OSError:
+                    pass
+        for worker in workers:
+            reap(worker)
         journal.close()
         if live is not None:
             live.close()

@@ -11,8 +11,8 @@ can share a worker's warm engines and memo state — onto one worker
 dispatch, and records every completed run into the submitting tenant's
 registry namespace (:meth:`~repro.obs.store.RunRegistry.for_tenant`).
 
-Worker substrate: the supervisor's process-per-attempt isolation,
-adapted for warmth.  Each worker is a *persistent* forked process
+Worker substrate: the supervisor's persistent-worker isolation,
+adapted for warm engines.  Each worker is a *persistent* forked process
 owning its own :class:`~repro.service.pool.WarmEnginePool`; jobs travel
 over a duplex pipe.  A crashed job therefore kills one worker — never
 the daemon — and is detected exactly the way the supervisor detects
@@ -49,10 +49,9 @@ from ..errors import (
     TenantError,
 )
 from ..harness.supervisor import (
-    CRASH_EXITCODE,
     FAULT_ENV_VAR,
     FaultSpec,
-    InjectedFault,
+    _fire_fault,
     _mp_context,
 )
 from ..obs.distributed import ShardTracer, TraceShard
@@ -197,16 +196,6 @@ def _summarize(result) -> dict:
 # ----------------------------------------------------------------------
 # Worker side (child process)
 # ----------------------------------------------------------------------
-
-def _fire_fault(fault: FaultSpec) -> None:
-    """The supervisor's fault semantics, verbatim."""
-    if fault.kind == "crash":
-        os._exit(CRASH_EXITCODE)
-    if fault.kind == "hang":
-        while True:
-            time.sleep(3600)
-    raise InjectedFault(f"injected fault at frame boundary ({fault})")
-
 
 def _worker_main(conn, worker_id: int, max_engines: int,
                  trace_dir=None) -> None:

@@ -18,14 +18,14 @@ service sweep renders exactly the cells a CLI sweep would.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import typing
 
 from ..config import GpuConfig
 from ..engine.factory import TECHNIQUES
-from ..errors import ConfigError, ServiceError
+from ..errors import ConfigError, ReproError, ServiceError
 from ..harness.experiments import EXPERIMENT_TECHNIQUES
 from ..harness.parallel import Cell
+from ..harness.sweeps import expand_grid
 from ..obs.store import validate_tenant
 from ..workloads.games import BENCHMARKS, FIGURE_ORDER, PSEUDO_WORKLOADS
 
@@ -218,30 +218,6 @@ class JobSpec:
         )
 
 
-def _expand_sweep(base: JobSpec, parameters: typing.Mapping) -> list:
-    """The sweep grid as render jobs — the CLI sweep's cartesian
-    product, one spec per parameter assignment."""
-    if not parameters:
-        raise ServiceError("sweep payload needs non-empty 'parameters'")
-    names = list(parameters)
-    grids = []
-    for name in names:
-        values = parameters[name]
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ServiceError(
-                f"sweep parameter {name!r} needs a non-empty value list"
-            )
-        grids.append(values)
-    specs = []
-    for assignment in itertools.product(*grids):
-        merged = dict(base.overrides)
-        merged.update(zip(names, assignment))
-        specs.append(dataclasses.replace(
-            base, overrides=tuple(sorted(merged.items())),
-        ))
-    return specs
-
-
 def _expand_experiment(base: JobSpec, experiment_id: str,
                        aliases: typing.Sequence = None) -> list:
     """An experiment's prefetch matrix as render jobs — the same
@@ -266,8 +242,9 @@ def expand_payload(payload: typing.Mapping) -> list:
 
     * ``render``     — the payload is one :class:`JobSpec`;
     * ``sweep``      — ``parameters: {field: [values...]}`` expands to
-      the cartesian grid, each point a render job whose overrides carry
-      its assignment;
+      the cartesian grid (:func:`~repro.harness.sweeps.expand_grid`, so
+      duplicate points are refused like a CLI sweep's), each point a
+      render job whose overrides carry its assignment;
     * ``experiment`` — ``id: fig14a`` expands to that experiment's
       (game, technique) prefetch matrix.
 
@@ -287,7 +264,20 @@ def expand_payload(payload: typing.Mapping) -> list:
     if kind == "render":
         specs = [base]
     elif kind == "sweep":
-        specs = _expand_sweep(base, payload.get("parameters") or {})
+        parameters = payload.get("parameters")
+        if not parameters:
+            raise ServiceError("sweep payload needs non-empty 'parameters'")
+        base_config = base.config()
+        try:
+            grid = expand_grid(base.alias, base.technique, parameters,
+                               base_config=base_config)
+        except (ReproError, TypeError) as exc:
+            raise ServiceError(f"bad sweep: {exc}") from None
+        specs = [
+            dataclasses.replace(base, overrides=tuple(sorted(
+                {**dict(base.overrides), **assignment}.items())))
+            for assignment, _, _ in grid
+        ]
     else:
         specs = _expand_experiment(
             base, payload.get("id"), payload.get("games"),

@@ -122,8 +122,8 @@ def execute_job(spec: JobSpec, pool: WarmEnginePool = None,
     on success, returns to) it; without one the engine is built and
     dropped, which is exactly the pre-service direct path.
 
-    Seeding mirrors the harness worker discipline
-    (:func:`repro.harness.parallel._run_cell`): NumPy's global generator
+    Seeding mirrors the harness cell discipline
+    (:func:`repro.harness.parallel.cell_seed`): NumPy's global generator
     is reseeded from the cell identity so a job's result is a pure
     function of its spec, independent of what the worker ran before.
 

@@ -9,8 +9,8 @@ ones so a user file can shadow a pack scene):
 3. every directory in ``$REPRO_WORKLOAD_PATH`` (``os.pathsep``-joined).
 
 Because discovery is purely file + environment based, every execution
-context sees the same aliases: ``--jobs`` pool workers, supervised
-attempt processes and service-daemon workers all inherit the
+context sees the same aliases: supervised workers (``--jobs`` and
+supervised runs) and service-daemon workers all inherit the
 environment and working directory, so a DSL workload submitted to any
 of them resolves identically — no in-process registration to lose
 across a ``fork``/``spawn``.

@@ -512,8 +512,8 @@ def build_scene(alias: str) -> Scene:
     Builtin benchmarks resolve first; any other alias falls through to
     the declarative workload registry (:mod:`repro.workloads.dsl`), so a
     scene file on the search path runs everywhere a builtin does — the
-    direct runner, ``--jobs`` pool workers, supervised attempts and
-    service-daemon workers alike.
+    direct runner, supervised workers (``--jobs`` and supervised runs)
+    and service-daemon workers alike.
     """
     if alias in _BUILDERS:
         index = sorted(_BUILDERS).index(alias)

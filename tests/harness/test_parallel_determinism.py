@@ -1,8 +1,9 @@
 """Parallel-vs-serial determinism of the harness runner.
 
 A cell's result is a pure function of the cell, so fanning a matrix
-across workers — or supervising it with retries and crash recovery —
-must be bit-for-bit indistinguishable from running it serially.
+across the supervisor's workers — with or without retries and crash
+recovery — must be bit-for-bit indistinguishable from running it
+serially in-process.
 """
 
 import numpy as np
@@ -59,11 +60,13 @@ class TestSupervisedDeterminism:
         )
 
     def test_supervised_width_two_matches_serial(self, policy):
-        serial = supervise_cells(CELLS, config=CONFIG, policy=policy)
+        """The in-process reference vs a checkpointing policy on the
+        supervisor's workers."""
+        serial = run_cells(CELLS, config=CONFIG, processes=1)
         wide = supervise_cells(
             CELLS, config=CONFIG, policy=policy, processes=2,
         )
-        assert_equal_results(serial.results(), wide.results())
+        assert_equal_results(serial, wide.results())
 
     def test_determinism_survives_an_injected_crash(self, policy):
         """One worker killed mid-run: results AND the per-cell journal

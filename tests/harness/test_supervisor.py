@@ -130,6 +130,63 @@ class TestErrorAndHang:
         assert timeout["timeout_s"] == 1.5
 
 
+def attempt_pids(run) -> list:
+    return [r["pid"] for r in run.records if r["event"] == "attempt_start"]
+
+
+class TestPersistentWorkers:
+    CELLS = (
+        Cell("ccs", "baseline", FRAMES),
+        Cell("ccs", "re", FRAMES),
+        Cell("cde", "re", FRAMES),
+    )
+
+    def test_one_worker_runs_every_cell(self):
+        run = supervise_cells(
+            self.CELLS, config=CONFIG, policy=fast_policy(), processes=1,
+        )
+        pids = attempt_pids(run)
+        assert len(pids) == 3
+        assert len(set(pids)) == 1
+        assert pids[0] != os.getpid()
+
+    def test_error_keeps_the_worker(self, reference):
+        cell = Cell("ccs", "re", FRAMES)
+        run = supervise_cells(
+            [cell], config=CONFIG, policy=fast_policy(),
+            fault_spec="ccs/re:2:error",
+        )
+        assert run.outcomes[cell].attempts == 2
+        assert len(set(attempt_pids(run))) == 1
+        assert_bit_identical(run.outcomes[cell].result, reference)
+
+    def test_crashed_worker_is_replaced(self):
+        serial = run_cells(self.CELLS, config=CONFIG, processes=1)
+        run = supervise_cells(
+            self.CELLS, config=CONFIG, policy=fast_policy(), processes=1,
+            fault_spec="ccs/re:4:crash",
+        )
+        crash = next(
+            i for i, r in enumerate(run.records)
+            if r["event"] == "attempt_crash"
+        )
+        assert run.records[crash]["exitcode"] == CRASH_EXITCODE
+        crashed_pid = next(
+            r["pid"] for r in reversed(run.records[:crash])
+            if r["event"] == "attempt_start" and r["cell"] == "ccs/re"
+        )
+        later = [
+            r["pid"] for r in run.records[crash:]
+            if r["event"] == "attempt_start"
+        ]
+        assert later and crashed_pid not in later
+        assert len(set(later)) == 1
+        results = run.results()
+        assert results.keys() == serial.keys()
+        for cell, result in results.items():
+            assert_bit_identical(result, serial[cell])
+
+
 class TestRetryExhaustion:
     def test_persistent_failure_isolates_one_cell(self):
         bad = Cell("ccs", "re", FRAMES)

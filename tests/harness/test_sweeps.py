@@ -81,3 +81,21 @@ class TestSweepCollisionSafety:
             sweep("cde", "re", {"tile_size": [8, 8]}, num_frames=2,
                   policy=SupervisorPolicy(),
                   journal_path=tmp_path / "journal.jsonl")
+
+
+class TestSweepJournal:
+    def test_each_point_has_its_own_history(self, tmp_path):
+        from repro.harness.supervisor import (
+            SupervisorPolicy,
+            attempt_history,
+        )
+
+        journal = tmp_path / "journal.jsonl"
+        sweep("ccs", "re", {"tile_size": [16, 32]}, num_frames=2,
+              policy=SupervisorPolicy(), journal_path=journal)
+        history = attempt_history(str(journal))
+        assert set(history) == {"ccs-re-tile_size=16", "ccs-re-tile_size=32"}
+        for events in history.values():
+            assert [entry[0] for entry in events] == [
+                "attempt_start", "cell_done",
+            ]

@@ -1,15 +1,19 @@
 """CLI surface of the service layer.
 
-``test_service_path_output_identical_to_direct`` pins the ISSUE's
-acceptance criterion at the outermost layer: ``repro run`` (which now
-routes through the transient in-process service) prints byte-for-byte
-what ``repro run --direct`` (the pre-service path) prints.
+``test_service_path_output_identical_to_direct`` pins the service's
+bit-identity contract at the layer ``repro run`` uses: the transient
+in-process service (:func:`run_job_inprocess`) returns, and the CLI
+prints, exactly what a plain :func:`run_workload` call does.
 """
 
+import numpy as np
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _print_run_summary, main
+from repro.config import GpuConfig
+from repro.harness.runner import run_workload
 from repro.obs.live import LiveAggregator
+from repro.service import JobSpec, run_job_inprocess
 from repro.service.daemon import EngineDaemon, ServiceConfig
 from repro.service.server import ServiceServer
 
@@ -18,13 +22,18 @@ FRAMES = 2
 
 class TestRunRoutesThroughService:
     def test_service_path_output_identical_to_direct(self, capsys):
+        service = run_job_inprocess(JobSpec("ccs", "re", num_frames=3))
+        direct = run_workload("ccs", "re", GpuConfig.small(), num_frames=3)
+        assert np.array_equal(service.tile_color_crcs,
+                              direct.tile_color_crcs)
+        assert service.counters == direct.counters
+        _print_run_summary(service)
+        service_out = capsys.readouterr().out
+        _print_run_summary(direct)
+        assert service_out == capsys.readouterr().out
         assert main(["--frames", "3", "run", "ccs",
                      "--no-registry"]) == 0
-        service_out = capsys.readouterr().out
-        assert main(["--frames", "3", "run", "ccs",
-                     "--no-registry", "--direct"]) == 0
-        direct_out = capsys.readouterr().out
-        assert service_out == direct_out
+        assert capsys.readouterr().out == service_out
         assert "ccs under re" in service_out
 
     def test_run_rejects_bad_tenant_before_rendering(self, capsys):

@@ -91,6 +91,21 @@ class TestExpansion:
         }
         assert assignments == {(8, 1), (8, 2), (16, 1), (16, 2)}
 
+    def test_sweep_duplicate_point_raises(self):
+        with pytest.raises(ServiceError, match="duplicate parameter point"):
+            expand_payload({
+                "kind": "sweep", "game": "ccs",
+                "parameters": {"tile_size": [16, 16]},
+            })
+
+    @pytest.mark.parametrize("values", [[], 16])
+    def test_sweep_needs_a_value_list(self, values):
+        with pytest.raises(ServiceError, match="non-empty value list"):
+            expand_payload({
+                "kind": "sweep", "game": "ccs",
+                "parameters": {"tile_size": values},
+            })
+
     def test_sweep_without_parameters_raises(self):
         with pytest.raises(ServiceError):
             expand_payload({"kind": "sweep", "game": "ccs"})
