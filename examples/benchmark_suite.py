@@ -8,11 +8,12 @@ Run:  python examples/benchmark_suite.py [--frames N] [--scale small|benchmark]
                                          [--raster-backend numpy|compiled]
 
 ``--jobs N`` fans the independent (game, technique) cells across N
-worker processes (see repro.harness.parallel).  ``--profile`` records
-per-stage simulator wall-clock plus event rates and writes them — with
-the measured speedup over the pre-batching reference runtime — to
-BENCH_pipeline.json; profiling implies a serial run so one recorder
-observes every frame.
+worker processes (see repro.harness.parallel).  ``--profile`` attaches
+one span recorder (repro.obs.SpanRecorder) as the tracer of every run
+and writes its aggregate — per-stage simulator wall-clock, event
+counters and rates — with the measured speedup over the pre-batching
+reference runtime to BENCH_pipeline.json.  Profiling implies a serial
+run, since the recorder lives in this process.
 
 ``--occlusion-culling`` and ``--raster-backend compiled`` exercise the
 binning-time occlusion pass and the compiled raster kernels; either
@@ -76,13 +77,13 @@ def main() -> None:
 
         config = dataclasses.replace(config, occlusion_culling=True)
     start = time.perf_counter()
-    perf = None
+    recorder = None
     if args.profile:
-        from repro.perf import PerfRecorder
+        from repro.obs import SpanRecorder
 
-        perf = PerfRecorder()
+        recorder = SpanRecorder()
 
-    if args.jobs > 1 and perf is None:
+    if args.jobs > 1 and recorder is None:
         matrix = run_matrix(
             args.games, TECHNIQUES, config, args.frames, processes=args.jobs
         )
@@ -92,7 +93,7 @@ def main() -> None:
     else:
         def get(alias, technique):
             return run_workload(alias, technique, config, args.frames,
-                                perf=perf)
+                                tracer=recorder)
 
     rows = []
     for alias in args.games:
@@ -110,12 +111,8 @@ def main() -> None:
             re.skipped_fraction(),
         ])
     speedups = [r[1] for r in rows]
-    rows.append([
-        "AVG",
-        sum(speedups) / len(speedups),
-        sum(r[2] for r in rows) / len(rows),
-        sum(r[3] for r in rows[:-1]) / max(1, len(rows) - 1),
-        sum(r[4] for r in rows[:-1]) / max(1, len(rows) - 1),
+    rows.append(["AVG"] + [
+        sum(r[column] for r in rows) / len(rows) for column in (1, 2, 3, 4)
     ])
     print(reporting.format_table(
         ["game", "re_speedup", "re_energy_saving", "te_energy_saving",
@@ -127,7 +124,7 @@ def main() -> None:
 
     wall = time.perf_counter() - start
     print(f"suite wall-clock: {wall:.2f} s")
-    if perf is not None:
+    if recorder is not None:
         from repro.perf import write_bench
 
         from repro.pipeline.kernels import backend_record
@@ -145,7 +142,7 @@ def main() -> None:
             "games": list(args.games),
             "wall_seconds": round(wall, 3),
             "raster_backend": backend_record(),
-            "profile": perf.snapshot(),
+            "profile": recorder.profile(),
         }
         if (command == "suite"
                 and args.frames == SEED_REFERENCE["frames"]

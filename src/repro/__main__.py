@@ -351,11 +351,11 @@ def _service_spec_from(args):
 
 def _run_needs_direct_path(args) -> bool:
     """Features the in-process service path does not carry: checkpoint
-    plumbing, run manifests and the per-stage profiler stay on the
-    original :func:`run_workload` call."""
+    plumbing and run manifests stay on the original
+    :func:`run_workload` call."""
     return bool(
         args.resume or args.checkpoint_at
-        or args.checkpoint_out or args.manifest or args.profile
+        or args.checkpoint_out or args.manifest
     )
 
 
@@ -436,11 +436,13 @@ def _cmd_run(args) -> int:
         return failed
     if _supervision_requested(args):
         return _cmd_run_supervised(args)
-    perf = None
+    tracer = None
     if args.profile:
-        from .perf import PerfRecorder
+        from .obs import SpanRecorder, TraceRecorder
 
-        perf = PerfRecorder()
+        # The profile is the recorder's aggregate; with --trace the same
+        # recorder also keeps the events it writes.
+        tracer = TraceRecorder() if args.trace else SpanRecorder()
     live = _live_from(args)
     live_sink = None
     if live is not None:
@@ -452,7 +454,7 @@ def _cmd_run(args) -> int:
             run = run_workload(
                 args.game, args.technique, _config_from(args),
                 num_frames=args.frames,
-                perf=perf,
+                tracer=tracer,
                 resume_from=args.resume,
                 checkpoint_at=args.checkpoint_at,
                 checkpoint_path=args.checkpoint_out,
@@ -470,6 +472,7 @@ def _cmd_run(args) -> int:
 
             run = run_job_inprocess(
                 _service_spec_from(args),
+                tracer=tracer,
                 trace_path=args.trace,
                 metrics_path=args.metrics,
                 live=live_sink,
@@ -491,20 +494,20 @@ def _cmd_run(args) -> int:
     if run_id:
         print(f"  registered as {run_id} (compare with "
               f"`python -m repro diff`)")
-    if perf is not None:
+    if tracer is not None:
         from .perf import write_bench
 
-        snapshot = perf.snapshot()
+        snapshot = tracer.profile()
         print("  simulator profile (wall-clock, not simulated time):")
         for name, seconds in snapshot["stage_seconds"].items():
             print(f"    {name:10s} {seconds:8.3f} s "
                   f"({snapshot['stage_calls'][name]} calls)")
         payload = {
             "command": "run",
-            "game": args.game,
-            "technique": args.technique,
+            "games": [run.alias],
+            "technique": run.technique,
             "scale": args.scale,
-            "frames": args.frames,
+            "frames": run.num_frames,
             "profile": snapshot,
         }
         write_bench(args.bench_out, payload)

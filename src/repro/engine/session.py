@@ -180,7 +180,7 @@ class RenderSession:
 
     def __init__(self, alias: str, technique: str = "baseline",
                  config: GpuConfig = None, num_frames: int = 50,
-                 exact_signatures: bool = False, perf=None,
+                 exact_signatures: bool = False,
                  tracer=None, metrics=None, live=None) -> None:
         self.alias = alias
         self.technique_name = technique
@@ -192,7 +192,6 @@ class RenderSession:
             technique, self.config, exact=exact_signatures
         )
         self.gpu = Gpu(self.config, self.technique)
-        self.gpu.perf = perf
         self.timing = TimingModel(self.config)
         self.energy_model = EnergyModel(self.config)
         self.metrics = None
@@ -274,7 +273,6 @@ class RenderSession:
         it).
         """
         self.gpu.reset()
-        self.gpu.perf = None
         self.gpu.tracer = None
         self.metrics = None
         self.live = None
@@ -450,8 +448,8 @@ class RenderSession:
 
     @classmethod
     def from_checkpoint(cls, source, config: GpuConfig = None,
-                        perf=None, tracer=None,
-                        metrics=None, live=None) -> "RenderSession":
+                        tracer=None, metrics=None,
+                        live=None) -> "RenderSession":
         """Rebuild a session from a checkpoint file path or state dict.
 
         ``config`` defaults to the configuration stored in the
@@ -466,7 +464,7 @@ class RenderSession:
         session = cls(
             meta["alias"], meta["technique"], config=config,
             num_frames=int(meta["num_frames"]),
-            exact_signatures=bool(meta["exact_signatures"]), perf=perf,
+            exact_signatures=bool(meta["exact_signatures"]),
             tracer=tracer, metrics=metrics, live=live,
         )
         session.restore(state)

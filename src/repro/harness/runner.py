@@ -166,22 +166,24 @@ def result_from_session(session: RenderSession) -> RunResult:
 
 def run_workload(alias: str, technique: str = "baseline",
                  config: GpuConfig = None, num_frames: int = 50,
-                 exact_signatures: bool = False, perf=None,
+                 exact_signatures: bool = False, tracer=None,
                  resume_from=None, checkpoint_at: int = None,
                  checkpoint_path=None, manifest_path=None,
                  trace_path=None, metrics_path=None,
                  live=None) -> RunResult:
     """Render ``num_frames`` of a benchmark under a technique.
 
-    ``perf`` may be a :class:`repro.perf.PerfRecorder`; it then receives
-    per-stage wall-clock and event counts for every frame rendered.
-
     Observability (:mod:`repro.obs`):
 
-    * ``trace_path`` — record span/instant events for every frame and
-      write Chrome trace-event JSON there (Perfetto-loadable).  The
-      trace is written even if the run raises, so a failed run still
-      leaves its timeline behind.
+    * ``tracer`` — a caller-provided :class:`~repro.obs.Tracer` that
+      sees every frame rendered.  A :class:`~repro.obs.SpanRecorder`
+      (``--profile``) aggregates per-stage wall-clock and event counts
+      into its :meth:`~repro.obs.SpanRecorder.profile`; one recorder
+      can observe many runs.
+    * ``trace_path`` — write the tracer's Chrome trace-event JSON there
+      (Perfetto-loadable), building a :class:`~repro.obs.TraceRecorder`
+      when no ``tracer`` is given.  The trace is written even if the
+      run raises, so a failed run still leaves its timeline behind.
     * ``metrics_path`` — sample every registry counter at each frame
       boundary into a JSONL per-frame metrics log there (the input to
       ``python -m repro report``).
@@ -199,18 +201,18 @@ def run_workload(alias: str, technique: str = "baseline",
       after that many frames, then keep rendering to completion.
     * ``manifest_path`` — write a JSON manifest describing the run.
     """
-    tracer = metrics = None
+    metrics = None
     if trace_path is not None or metrics_path is not None:
         from ..obs import MetricsLog, TraceRecorder
 
-        if trace_path is not None:
+        if trace_path is not None and tracer is None:
             tracer = TraceRecorder()
         if metrics_path is not None:
             metrics = MetricsLog(metrics_path)
 
     if resume_from is not None:
         session = RenderSession.from_checkpoint(
-            resume_from, config=config, perf=perf,
+            resume_from, config=config,
             tracer=tracer, metrics=metrics, live=live,
         )
         resumed_at = session.frames_rendered
@@ -218,7 +220,7 @@ def run_workload(alias: str, technique: str = "baseline",
         session = RenderSession(
             alias, technique=technique, config=config,
             num_frames=num_frames, exact_signatures=exact_signatures,
-            perf=perf, tracer=tracer, metrics=metrics, live=live,
+            tracer=tracer, metrics=metrics, live=live,
         )
         resumed_at = 0
 
@@ -232,6 +234,7 @@ def run_workload(alias: str, technique: str = "baseline",
     finally:
         if tracer is not None:
             tracer.close_open_spans()
+        if trace_path is not None:
             tracer.write(trace_path)
         if metrics is not None:
             metrics.close()

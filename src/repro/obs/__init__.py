@@ -1,13 +1,15 @@
 """Observability: tracing, metrics, run registry, and live telemetry.
 
-The telemetry layer for the simulator — distinct from
-:mod:`repro.perf`, which times the *simulator process* in aggregate.
-This package records *time-resolved, per-entity* telemetry of the
-simulated run and archives run outcomes for cross-run analysis:
+The telemetry layer for the simulator.  This package records
+*time-resolved, per-entity* telemetry of the simulated run and archives
+run outcomes for cross-run analysis:
 
-* :class:`Tracer` / :class:`TraceRecorder` — span and instant events
-  over the stage graph, emitted as Chrome trace-event JSON for
-  Perfetto / ``chrome://tracing`` (``--trace out.json``);
+* :class:`Tracer` / :class:`SpanRecorder` / :class:`TraceRecorder` —
+  one span API over the stage graph.  Every recorder aggregates its
+  spans and counters into the simulator profile
+  (:meth:`SpanRecorder.profile`, ``--profile``); :class:`TraceRecorder`
+  also emits Chrome trace-event JSON for Perfetto /
+  ``chrome://tracing`` (``--trace out.json``);
 * :class:`MetricsLog` — every registry counter sampled at each frame
   boundary into a JSONL time series plus per-tile skip heatmap data
   (``--metrics out.jsonl``);
@@ -40,7 +42,7 @@ from .live import NULL_LIVE, ChannelLiveSink, LiveAggregator, LiveSink
 from .metrics import MetricsLog, frame_record
 from .report import render_report
 from .store import RunRegistry, bench_manifest, git_revision, run_manifest
-from .tracer import NULL_TRACER, Tracer, TraceRecorder
+from .tracer import NULL_TRACER, SpanRecorder, Tracer, TraceRecorder
 from .trend import check_trend, render_trend, trend_points
 from .validate import validate_trace, validate_trace_file
 
@@ -53,6 +55,7 @@ __all__ = [
     "NULL_TRACER",
     "RunRegistry",
     "ShardTracer",
+    "SpanRecorder",
     "TraceContext",
     "TraceRecorder",
     "TraceShard",

@@ -12,10 +12,10 @@ daemon, worker — and this module makes that one trace:
   events for one process.  Timestamps are **absolute wall-clock
   microseconds** (every participating process shares the host clock),
   clamped non-decreasing per ``tid`` so each track is monotonic;
-* :class:`ShardTracer` adapts a shard to the falsy
-  :class:`~repro.obs.tracer.Tracer` protocol on one fixed track, so the
-  engine's frame/stage spans (which default to ``tid=0``) land on their
-  job's track inside the worker's shard;
+* :class:`ShardTracer` is a :class:`~repro.obs.tracer.SpanRecorder`
+  whose sink is a shard, on one fixed track, so the engine's
+  frame/stage spans (which default to ``tid=0``) land on their job's
+  track inside the worker's shard;
 * :func:`merge_shards` assembles every shard in a directory into one
   Perfetto-loadable ``{"traceEvents": [...]}`` payload: timestamps
   normalized to start at zero, events stably sorted, spans left open by
@@ -29,7 +29,6 @@ construction — and travel in ``args.span_id`` where
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import glob
 import itertools
@@ -40,6 +39,7 @@ import time
 import typing
 
 from ..errors import ReproError
+from .tracer import SpanRecorder
 
 __all__ = [
     "ShardTracer",
@@ -223,85 +223,46 @@ class TraceShard:
         self.close()
 
 
-class ShardTracer:
-    """The falsy Tracer protocol, writing into a shard on one track.
+class ShardTracer(SpanRecorder):
+    """A span recorder whose sink is a shard, on one fixed track.
 
     Handed to :func:`~repro.service.pool.execute_job` by the daemon's
     workers so engine frame/stage spans (emitted with the default
     ``tid=0``) land on the job's own track of the worker shard, stamped
-    with the request's ``trace_id``.  Keeps its own span stack —
-    strict, like :class:`~repro.obs.tracer.TraceRecorder` — so engine
-    code misuse still raises.
+    with the request's ``trace_id``.  The strict span stack is the
+    :class:`~repro.obs.tracer.SpanRecorder` one, so engine code misuse
+    still raises.
     """
-
-    enabled = True
 
     def __init__(self, shard: TraceShard, tid: int,
                  trace_id: str = None, parent_span_id: str = None,
                  label: str = None) -> None:
+        super().__init__(clock=shard._clock)
         self.shard = shard
         self.tid = int(tid)
         self.trace_id = trace_id
         self.parent_span_id = parent_span_id
-        self.metadata: dict = {}
-        self._stack: list = []         # [(name, span_id)]
         if label:
             shard.name_thread(self.tid, label)
 
-    def __bool__(self) -> bool:
-        return self.enabled
-
-    # Span API -----------------------------------------------------------
     def begin(self, name: str, tid: int = 0, **args) -> None:
-        span_id = new_span_id()
-        args = dict(args)
-        args["span_id"] = span_id
+        stack = self._stacks.get(tid)
+        parent = stack[-1][2]["span_id"] if stack else self.parent_span_id
+        args["span_id"] = new_span_id()
         if self.trace_id:
             args["trace_id"] = self.trace_id
-        parent = (self._stack[-1][1] if self._stack
-                  else self.parent_span_id)
         if parent:
             args["parent_span_id"] = parent
-        self._stack.append((name, span_id))
-        self.shard.emit("B", name, tid=self.tid, args=args)
+        super().begin(name, tid, **args)
 
-    def end(self, name: str = None, tid: int = 0) -> None:
-        if not self._stack:
-            raise ReproError(
-                f"ShardTracer.end() with no open span on track {self.tid}"
-            )
-        opened, _span_id = self._stack.pop()
-        if name is not None and name != opened:
-            raise ReproError(
-                f"ShardTracer.end({name!r}) closes span {opened!r}"
-            )
-        self.shard.emit("E", opened, tid=self.tid)
-
-    @contextlib.contextmanager
-    def span(self, name: str, tid: int = 0, **args):
-        self.begin(name, **args)
-        try:
-            yield self
-        finally:
-            self.end(name)
-
-    # Point events -------------------------------------------------------
     def instant(self, name: str, tid: int = 0, **args) -> None:
         if self.trace_id:
             args["trace_id"] = self.trace_id
-        self.shard.instant(name, tid=self.tid, **args)
+        super().instant(name, tid, **args)
 
-    def counter(self, name: str, values: dict, tid: int = 0) -> None:
-        self.shard.counter(name, values, tid=self.tid)
-
-    # Metadata -----------------------------------------------------------
-    def annotate(self, **fields) -> None:
-        self.metadata.update(fields)
-
-    def close_open_spans(self) -> None:
-        while self._stack:
-            opened, _span_id = self._stack.pop()
-            self.shard.emit("E", opened, tid=self.tid)
+    def _emit(self, ph: str, name: str, tid: int, now, extra: dict) -> None:
+        self.shard.emit(ph, name, tid=self.tid,
+                        ts=None if now is None else now * 1e6, **extra)
 
 
 # ----------------------------------------------------------------------

@@ -289,8 +289,10 @@ def bench_manifest(payload: dict, source=None, git_rev: str = "auto",
 
     ``payload`` is what :func:`repro.perf.write_bench` wrote (or its
     bare ``profile`` snapshot).  The *bench key* — command, frames,
-    scale, game list — identifies comparable points, so the trend view
-    never compares a 6-frame smoke profile against a 50-frame one.
+    scale, game list, technique — identifies comparable points, so the
+    trend view never compares a 6-frame smoke profile against a
+    50-frame one, nor one game's or technique's profile against
+    another's.
     """
     profile = payload.get("profile", payload)
     if "counters" not in profile or "stage_seconds" not in profile:
@@ -311,6 +313,7 @@ def bench_manifest(payload: dict, source=None, git_rev: str = "auto",
         "frames": payload.get("frames"),
         "scale": payload.get("scale"),
         "games": payload.get("games"),
+        "technique": payload.get("technique"),
     }
     return {
         "schema": "repro-bench-manifest-v1",

@@ -6,7 +6,8 @@ bench job can append a bench manifest (:func:`~repro.obs.store.bench_manifest`)
 and this module reads them back chronologically:
 
 * :func:`trend_points` — bench entries grouped by *bench key* (command,
-  frames, scale, games), so only like-for-like profiles are compared;
+  frames, scale, games, technique), so only like-for-like profiles are
+  compared;
 * :func:`render_trend` — the trajectory as a table (when, git rev, wall
   seconds, frames/s, counter signature) plus a wall-clock sparkline;
 * :func:`check_trend` — regression gate: the newest point is compared
@@ -49,6 +50,7 @@ def _bench_key(manifest: dict) -> str:
         "frames": key.get("frames"),
         "scale": key.get("scale"),
         "games": sorted(games) if games else None,
+        "technique": key.get("technique"),
     }, sort_keys=True)
 
 

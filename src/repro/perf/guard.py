@@ -29,7 +29,7 @@ import argparse
 import sys
 
 from ..errors import ReproError
-from .timers import load_bench
+from . import load_bench
 
 
 def _profile(payload: dict) -> dict:

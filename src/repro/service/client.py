@@ -191,7 +191,8 @@ class ServiceClient:
 
 
 def run_job_inprocess(spec: JobSpec, pool: WarmEnginePool = None,
-                      trace_path=None, metrics_path=None, live=None):
+                      trace_path=None, metrics_path=None, live=None,
+                      tracer=None):
     """Run one job through a transient in-process service.
 
     The CLI's default ``repro run`` path: validates the spec, executes
@@ -200,10 +201,13 @@ def run_job_inprocess(spec: JobSpec, pool: WarmEnginePool = None,
     ``pool`` the engine stays warm for the caller's next job (the warm
     benchmark and batched CLI futures use this); without one the
     behaviour — and the output, bit for bit — matches the pre-service
-    direct :func:`~repro.harness.runner.run_workload` call.
+    direct :func:`~repro.harness.runner.run_workload` call.  ``tracer``
+    is handed to :func:`execute_job` (``--profile`` passes its
+    recorder).
     """
     result, _info = execute_job(
         spec.validated(), pool=pool,
         trace_path=trace_path, metrics_path=metrics_path, live=live,
+        tracer=tracer,
     )
     return result

@@ -98,6 +98,37 @@ class TestCheckTrend:
         assert any("wall time" in failure for failure in failures)
 
 
+    def test_techniques_of_one_game_are_not_compared(
+            self, registry, baseline_payload):
+        for when, technique, shaded in ((100.0, "re", 100),
+                                        (200.0, "baseline", 120)):
+            payload = copy.deepcopy(baseline_payload)
+            payload.update(command="run", games=["cde"],
+                           technique=technique)
+            registry.record(_variant(payload, created_at=when,
+                                     counters={"fragments_shaded": shaded}))
+        assert check_trend(registry) == []
+        assert [p["bench_key"]["technique"]
+                for p in trend_points(registry)] == ["baseline"]
+
+    def test_profiled_runs_of_two_games_are_not_compared(
+            self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        root = str(tmp_path / "registry")
+        for game in ("cde", "mst"):
+            assert main([
+                "--frames", "2", "--scale", "small", "--profile",
+                "--bench-out", str(tmp_path / f"{game}.json"),
+                "run", game, "--registry", root,
+            ]) == 0
+        capsys.readouterr()
+        points = trend_points(root)
+        assert [p["bench_key"]["games"] for p in points] == [["mst"]]
+        assert points[0]["bench_key"]["technique"] == "re"
+        assert check_trend(root) == []
+
+
 class TestRenderTrend:
     def test_empty_registry_renders_a_hint(self, registry):
         assert "no bench points" in render_trend(registry)

@@ -1,1 +1,1 @@
-"""Simulator self-instrumentation: timers, rates, bench guard."""
+"""Simulator self-instrumentation: profile payloads and the bench guard."""

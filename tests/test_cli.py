@@ -84,6 +84,34 @@ class TestObservability:
         assert validate_trace_file(trace)["spans"] > 0
         assert MetricsLog.load(metrics).num_frames == 4
 
+    def test_profile_counters_are_the_run_totals(self, tmp_path, capsys):
+        from repro.config import GpuConfig
+        from repro.harness import run_workload
+        from repro.obs import validate_trace_file
+
+        run = run_workload("cde", "re", GpuConfig.small(), 3)
+        expected = {
+            "frames": 3,
+            "fragments_rasterized": run.fragments_rasterized,
+            "fragments_shaded": run.fragments_shaded,
+            "tiles_rendered": run.counters["raster.tiles_rendered"],
+            "tiles_skipped": run.tiles_skipped,
+        }
+        trace = tmp_path / "run.trace.json"
+        # --profile alone, then --trace --profile on one recorder.
+        for extra in ([], ["--trace", str(trace)]):
+            bench = tmp_path / "bench.json"
+            assert main([
+                "--frames", "3", "--scale", "small", "--profile",
+                "--bench-out", str(bench),
+                "run", "cde", "--technique", "re", "--no-registry", *extra,
+            ]) == 0
+            profile = json.loads(bench.read_text())["profile"]
+            assert profile["counters"] == expected
+            assert set(profile["stage_calls"]) == {"geometry", "raster"}
+        assert "wrote trace to" in capsys.readouterr().out
+        assert validate_trace_file(trace)["spans"] > 0
+
     def test_report_analyses_a_metrics_log(self, tmp_path, capsys):
         trace = tmp_path / "run.trace.json"
         metrics = tmp_path / "run.metrics.jsonl"

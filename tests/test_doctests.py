@@ -7,13 +7,13 @@ import pytest
 import repro.hashing.crc32
 import repro.hashing.incremental
 import repro.obs.tracer
-import repro.perf.timers
+import repro.perf
 
 MODULES = [
     repro.hashing.crc32,
     repro.hashing.incremental,
     repro.obs.tracer,
-    repro.perf.timers,
+    repro.perf,
 ]
 
 

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 
 
@@ -50,6 +52,16 @@ class TestExamples:
         )
         assert result.returncode == 0, result.stderr
         assert "geomean RE speedup" in result.stdout
+        cells = {
+            line.split()[0]: [float(cell) for cell in line.split()[1:]]
+            for line in result.stdout.splitlines()
+            if line.split()[:1] in (["cde"], ["mst"], ["AVG"])
+        }
+        # Every AVG cell is the mean over *both* games (the last game's
+        # row must not drop out of any column).
+        for column, avg in enumerate(cells["AVG"]):
+            mean = (cells["cde"][column] + cells["mst"][column]) / 2
+            assert avg == pytest.approx(mean, abs=1e-3), column
 
     def test_arena_walkthrough(self, tmp_path):
         result = run_example(
