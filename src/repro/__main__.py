@@ -56,9 +56,11 @@ Subcommands:
   claims into a live claim map with stall detection.  ``trend
   --fleet`` and ``diff --fleet`` read the recorded fleets back.
 
-Plain ``run`` executes through a *transient in-process service* (the
-same code path the daemon's workers run) — bit-identical to a plain
-:func:`~repro.harness.runner.run_workload` call, down to per-tile CRCs.
+``run`` validates its job spec (game, technique, scale, overrides,
+tenant) before anything renders, then calls
+:func:`~repro.harness.runner.run_workload` — the executor the daemon's
+workers and the supervisor's workers run too — or, with supervision
+flags, supervises that one cell.
 
 Cross-run registry: ``run`` and ``sweep`` record a manifest of every
 completed run (what ran, git revision, headline numbers, artifact
@@ -92,7 +94,7 @@ import argparse
 import os
 import sys
 
-from .config import GpuConfig
+from .config import SCALES, GpuConfig, preset
 from .errors import ServiceError
 from .harness.experiments import (
     EXPERIMENT_TECHNIQUES,
@@ -110,21 +112,18 @@ from .workloads.games import (
 )
 
 
-def _config_from(args) -> GpuConfig:
-    presets = {
-        "small": GpuConfig.small,
-        "benchmark": GpuConfig.benchmark,
-        "mali450": GpuConfig.mali450,
-    }
-    config = presets[args.scale]()
+def _overrides_from(args) -> dict:
+    """GpuConfig overrides the flags ask for on top of the preset."""
     overrides = dict(getattr(args, "native_overrides", None) or {})
     if getattr(args, "occlusion_culling", False):
         overrides["occlusion_culling"] = True
-    if overrides:
-        import dataclasses
+    return overrides
 
-        config = dataclasses.replace(config, **overrides)
-    return config
+
+def _config_from(args) -> GpuConfig:
+    import dataclasses
+
+    return dataclasses.replace(preset(args.scale), **_overrides_from(args))
 
 
 def _supervision_requested(args) -> bool:
@@ -294,15 +293,14 @@ def _print_run_summary(run) -> None:
           f"primitives {run.traffic_bytes('primitives') / 1024:.0f})")
 
 
-def _cmd_run_supervised(args) -> int:
+def _cmd_run_supervised(args, spec) -> int:
     """`run` routed through the fault-tolerant supervisor: one cell,
     retried / resumed per the policy built from the supervision flags."""
-    from .harness.parallel import Cell
     from .harness.supervisor import supervise_cells
 
-    cell = Cell(args.game, args.technique, args.frames)
+    cell = spec.cell()
     supervised = supervise_cells(
-        [cell], config=_config_from(args), policy=_policy_from(args),
+        [cell], config=spec.config(), policy=_policy_from(args),
         journal_path=args.journal, fault_spec=args.inject_fault,
         trace_path=args.trace, metrics_path=args.metrics,
         live=_live_from(args),
@@ -335,28 +333,18 @@ def _print_observability_paths(args) -> None:
               f"(analyse with `python -m repro report {args.metrics}`)")
 
 
-def _service_spec_from(args):
-    """The :class:`~repro.service.jobs.JobSpec` a ``run`` maps to."""
+def _run_spec_from(args):
+    """The validated :class:`~repro.service.jobs.JobSpec` a ``run`` maps
+    to; raises :class:`~repro.errors.ServiceError` (a bad tenant id
+    included) before anything renders."""
     from .service import JobSpec
 
-    overrides = dict(getattr(args, "native_overrides", None) or {})
-    if getattr(args, "occlusion_culling", False):
-        overrides["occlusion_culling"] = True
     return JobSpec(
         args.game, technique=args.technique, num_frames=args.frames,
-        scale=args.scale, overrides=tuple(sorted(overrides.items())),
+        scale=args.scale,
+        overrides=tuple(sorted(_overrides_from(args).items())),
         tenant=getattr(args, "tenant", None) or "default",
-    )
-
-
-def _run_needs_direct_path(args) -> bool:
-    """Features the in-process service path does not carry: checkpoint
-    plumbing and run manifests stay on the original
-    :func:`run_workload` call."""
-    return bool(
-        args.resume or args.checkpoint_at
-        or args.checkpoint_out or args.manifest
-    )
+    ).validated()
 
 
 def _resolve_run_workload(args) -> int:
@@ -434,8 +422,13 @@ def _cmd_run(args) -> int:
     failed = _resolve_run_workload(args)
     if failed:
         return failed
+    try:
+        spec = _run_spec_from(args)
+    except ServiceError as exc:
+        print(f"run failed: {exc.args[0]}", file=sys.stderr)
+        return 2
     if _supervision_requested(args):
-        return _cmd_run_supervised(args)
+        return _cmd_run_supervised(args, spec)
     tracer = None
     if args.profile:
         from .obs import SpanRecorder, TraceRecorder
@@ -448,39 +441,20 @@ def _cmd_run(args) -> int:
     if live is not None:
         from .obs.live import ChannelLiveSink
 
-        live_sink = ChannelLiveSink(live, f"{args.game}/{args.technique}")
+        live_sink = ChannelLiveSink(live, spec.label)
     try:
-        if _run_needs_direct_path(args):
-            run = run_workload(
-                args.game, args.technique, _config_from(args),
-                num_frames=args.frames,
-                tracer=tracer,
-                resume_from=args.resume,
-                checkpoint_at=args.checkpoint_at,
-                checkpoint_path=args.checkpoint_out,
-                manifest_path=args.manifest,
-                trace_path=args.trace,
-                metrics_path=args.metrics,
-                live=live_sink,
-            )
-        else:
-            # Default path: a transient in-process service — the exact
-            # code the daemon's workers run, bit-identical to the
-            # run_workload call above (tests/service/test_cli.py pins
-            # this).
-            from .service import run_job_inprocess
-
-            run = run_job_inprocess(
-                _service_spec_from(args),
-                tracer=tracer,
-                trace_path=args.trace,
-                metrics_path=args.metrics,
-                live=live_sink,
-            )
-    except ServiceError as exc:
-        # Typed refusal (bad spec / tenant id), raised before rendering.
-        print(f"run failed: {exc.args[0]}", file=sys.stderr)
-        return 2
+        run = run_workload(
+            spec.alias, spec.technique, spec.config(), spec.num_frames,
+            exact_signatures=spec.exact_signatures,
+            tracer=tracer,
+            resume_from=args.resume,
+            checkpoint_at=args.checkpoint_at,
+            checkpoint_path=args.checkpoint_out,
+            manifest_path=args.manifest,
+            trace_path=args.trace,
+            metrics_path=args.metrics,
+            live=live_sink,
+        )
     finally:
         if live is not None:
             live.close()
@@ -873,13 +847,6 @@ def _parse_set_specs(specs) -> dict:
     return parameters
 
 
-def _fleet_overrides(args) -> dict:
-    overrides = dict(getattr(args, "native_overrides", None) or {})
-    if getattr(args, "occlusion_culling", False):
-        overrides["occlusion_culling"] = True
-    return overrides
-
-
 def _cmd_fleet(args) -> int:
     import json
     import time as time_module
@@ -916,7 +883,7 @@ def _cmd_fleet(args) -> int:
                 fleet_id=fleet_id, alias=args.game,
                 technique=args.technique, num_frames=args.frames,
                 parameters=parameters, scale=args.scale,
-                overrides=_fleet_overrides(args), lease_s=args.lease,
+                overrides=_overrides_from(args), lease_s=args.lease,
             )
             print(f"launching fleet {fleet_id}: {args.workers} worker(s) "
                   f"over {len(spec.point_ids())} point(s) "
@@ -1459,8 +1426,7 @@ def _add_observability_flags(subparser) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
-    parser.add_argument("--scale", choices=("small", "benchmark", "mali450"),
-                        default="small")
+    parser.add_argument("--scale", choices=SCALES, default="small")
     parser.add_argument("--frames", type=int, default=12)
     parser.add_argument("--jobs", type=int, default=0,
                         help="fan independent cells across N worker "

@@ -8,9 +8,9 @@ size, Overlapped-Tiles queue depth).
 
 The paper simulates a 1196x768 screen with 16x16-pixel tiles.  Rendering
 that many pixels functionally in pure Python for hundreds of frames is
-slow, so presets are provided at several scales; redundancy ratios are
-resolution-independent because workloads place geometry in normalized
-screen coordinates.
+slow, so presets are provided at several scales (:data:`SCALES`, looked
+up by :func:`preset`); redundancy ratios are resolution-independent
+because workloads place geometry in normalized screen coordinates.
 """
 
 from __future__ import annotations
@@ -224,3 +224,16 @@ class GpuConfig:
     def small(cls) -> "GpuConfig":
         """Tiny screen for unit tests (96x64 = 6x4 tiles)."""
         return cls(screen_width=96, screen_height=64)
+
+
+#: Preset names (``--scale``, ``JobSpec.scale``, ``FleetSpec.scale``).
+SCALES = ("small", "benchmark", "mali450")
+
+
+def preset(scale: str) -> GpuConfig:
+    """The :class:`GpuConfig` preset named ``scale`` (one of :data:`SCALES`)."""
+    if scale not in SCALES:
+        raise ConfigError(
+            f"unknown scale {scale!r} (choose from {', '.join(SCALES)})"
+        )
+    return getattr(GpuConfig, scale)()

@@ -176,12 +176,14 @@ class RenderSession:
     ``session.run()`` renders every remaining frame;
     ``session.run(until=k)`` stops after frame ``k-1`` so the caller can
     :meth:`checkpoint`.  ``RenderSession.from_checkpoint`` resumes.
+    A new session has no observability sinks; attach them with
+    :meth:`attach_observability`.  In the package, only
+    :func:`repro.harness.runner.run_workload` builds and runs sessions.
     """
 
     def __init__(self, alias: str, technique: str = "baseline",
                  config: GpuConfig = None, num_frames: int = 50,
-                 exact_signatures: bool = False,
-                 tracer=None, metrics=None, live=None) -> None:
+                 exact_signatures: bool = False) -> None:
         self.alias = alias
         self.technique_name = technique
         self.config = config if config is not None else GpuConfig.benchmark()
@@ -196,7 +198,6 @@ class RenderSession:
         self.energy_model = EnergyModel(self.config)
         self.metrics = None
         self.live = None
-        self.attach_observability(tracer=tracer, metrics=metrics, live=live)
 
         self.frames: list = []          # FrameMetrics, one per frame
         self.frame_stats: list = []     # FrameStats, one per frame
@@ -447,15 +448,14 @@ class RenderSession:
         self.final_frame_crc = int(state["final_frame_crc"])
 
     @classmethod
-    def from_checkpoint(cls, source, config: GpuConfig = None,
-                        tracer=None, metrics=None,
-                        live=None) -> "RenderSession":
+    def from_checkpoint(cls, source,
+                        config: GpuConfig = None) -> "RenderSession":
         """Rebuild a session from a checkpoint file path or state dict.
 
         ``config`` defaults to the configuration stored in the
         checkpoint, so a resumed run simulates the same hardware.
-        ``tracer``/``metrics`` attach observability sinks to the resumed
-        session (sinks are host-side and never checkpointed).
+        Observability sinks are host-side and never checkpointed; attach
+        them with :meth:`attach_observability`.
         """
         state = source if isinstance(source, dict) else load_checkpoint(source)
         meta = state["session"]
@@ -465,7 +465,6 @@ class RenderSession:
             meta["alias"], meta["technique"], config=config,
             num_frames=int(meta["num_frames"]),
             exact_signatures=bool(meta["exact_signatures"]),
-            tracer=tracer, metrics=metrics, live=live,
         )
         session.restore(state)
         return session

@@ -37,7 +37,7 @@ import os
 import re
 import time
 
-from ..config import GpuConfig
+from ..config import SCALES, GpuConfig, preset
 from ..errors import FleetError
 from ..harness.sweeps import expand_grid
 
@@ -52,9 +52,6 @@ __all__ = [
 ]
 
 SPEC_SCHEMA = "repro-fleet-v1"
-
-#: Config presets a spec may name (mirrors the CLI ``--scale`` choices).
-SCALES = ("small", "benchmark", "mali450")
 
 _FLEET_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
@@ -143,7 +140,7 @@ class FleetSpec:
 
     # Expansion ----------------------------------------------------------
     def base_config(self) -> GpuConfig:
-        config = getattr(GpuConfig, self.scale)()
+        config = preset(self.scale)
         if self.overrides:
             try:
                 config = dataclasses.replace(config, **self.overrides)

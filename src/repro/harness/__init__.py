@@ -3,7 +3,7 @@ parameter sweeps, fault-tolerant supervision, reporting."""
 
 from . import charts, images, reporting
 from .classify import TileClasses, classify_run, equal_tiles_fraction
-from .parallel import Cell, cell_label, cell_seed, run_cells, run_matrix
+from .parallel import Cell, cell_label, run_cells, run_matrix
 from .report import REPORT_ORDER, generate_report
 from .quality import FidelityReport, compare_runs, mse, psnr, tile_errors
 from .supervisor import (
@@ -27,6 +27,7 @@ from .runner import (
     TECHNIQUES,
     FrameMetrics,
     RunResult,
+    cell_seed,
     make_technique,
     result_from_session,
     run_workload,

@@ -6,12 +6,13 @@ share no simulator state (each builds its own scene and GPU), so a run
 matrix parallelizes trivially; the suite, sweeps and the experiment
 cache all fan out through :func:`run_cells`.
 
-Determinism: every cell derives a seed from its own identity
-(:func:`cell_seed`) and reseeds NumPy's legacy global generator before
-running, so a cell's result is a pure function of the cell — identical
-whether it runs serially, in any worker, or in any order.  (Workload
-content already uses explicit per-scene generators; the reseeding
-guards any library code that reaches for global randomness.)
+Determinism: :func:`run_workload` derives a seed from the cell's
+identity (:func:`~repro.harness.runner.cell_seed`) and reseeds NumPy's
+legacy global generator before rendering, so a cell's result is a pure
+function of the cell — identical whether it runs serially, in any
+worker, or in any order.  (Workload content already uses explicit
+per-scene generators; the reseeding guards any library code that
+reaches for global randomness.)
 
 A cell runs in one of two ways.  Serial, unsupervised runs
 (``processes`` in ``(None, 0, 1)``, or a single cell) execute
@@ -26,12 +27,9 @@ with backoff, checkpoint recovery and a JSONL run journal.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import re
 import typing
-
-import numpy as np
 
 from ..config import GpuConfig
 from ..errors import ReproError
@@ -57,21 +55,6 @@ class Cell:
     exact_signatures: bool = False
     config: GpuConfig = None
     tag: str = None
-
-
-def cell_seed(cell: Cell) -> int:
-    """Deterministic 32-bit seed derived from the cell's identity.
-
-    The per-cell config override is deliberately excluded: the seed
-    covers what the cell *renders*, and reseeding exists only to guard
-    stray global-randomness users, so sweep points of the same cell
-    reseed identically.
-    """
-    digest = hashlib.sha256(
-        f"{cell.alias}|{cell.technique}|{cell.num_frames}"
-        f"|{cell.exact_signatures}".encode()
-    ).digest()
-    return int.from_bytes(digest[:4], "big")
 
 
 def cell_label(cell: Cell) -> str:
@@ -208,7 +191,6 @@ def _run_in_process(cells: list, config: GpuConfig, trace_path,
     results = {}
     try:
         for cell, cell_trace, cell_metrics in zip(cells, traces, metrics):
-            np.random.seed(cell_seed(cell))
             results[cell] = run_workload(
                 cell.alias, cell.technique, config=cell.config or config,
                 num_frames=cell.num_frames,

@@ -6,14 +6,19 @@ technique, converts activity to cycles and energy, and records per-tile
 color checksums (and input signatures for RE runs) so the tile-level
 analyses of Figs. 2 and 15a are *measured* from rendered output.
 
-The heavy lifting lives in :class:`repro.engine.session.RenderSession`;
-this module drives it, adds checkpoint/resume plumbing and the JSON run
-manifest, and packages the outcome as a :class:`RunResult`.
+The heavy lifting lives in :class:`repro.engine.session.RenderSession`.
+:func:`run_workload` is the only code that builds (or takes from a warm
+pool) a session and runs it: it reseeds, attaches observability, adds
+checkpoint/resume plumbing, hooks and the JSON run manifest, and
+packages the outcome as a :class:`RunResult`.  The supervisor's
+workers, the service's :func:`~repro.service.pool.execute_job` and the
+CLI all run cells through it, so every path gives the same answer.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -27,6 +32,7 @@ __all__ = [
     "TECHNIQUES",
     "FrameMetrics",
     "RunResult",
+    "cell_seed",
     "make_technique",
     "result_from_session",
     "run_workload",
@@ -142,13 +148,10 @@ def _write_manifest(path, session: RenderSession, result: RunResult,
         handle.write("\n")
 
 
-def result_from_session(session: RenderSession) -> RunResult:
-    """Package a completed :class:`RenderSession` as a :class:`RunResult`.
 
-    Shared by :func:`run_workload` and the supervised cell runner in
-    :mod:`repro.harness.supervisor`, so both produce field-identical
-    results for the same session state.
-    """
+
+def result_from_session(session: RenderSession) -> RunResult:
+    """Package a completed :class:`RenderSession` as a :class:`RunResult`."""
     return RunResult(
         alias=session.alias,
         technique=session.technique_name,
@@ -164,14 +167,57 @@ def result_from_session(session: RenderSession) -> RunResult:
     )
 
 
+def cell_seed(alias: str, technique: str, num_frames: int,
+              exact_signatures: bool = False) -> int:
+    """Deterministic 32-bit seed derived from a cell's identity.
+
+    The config is deliberately excluded: the seed covers what the cell
+    *renders*, and reseeding exists only to guard stray global-randomness
+    users, so sweep points of the same cell reseed identically.
+    """
+    digest = hashlib.sha256(
+        f"{alias}|{technique}|{num_frames}|{exact_signatures}".encode()
+    ).digest()
+    return int.from_bytes(digest[:4], "big")
+
+
 def run_workload(alias: str, technique: str = "baseline",
                  config: GpuConfig = None, num_frames: int = 50,
                  exact_signatures: bool = False, tracer=None,
                  resume_from=None, checkpoint_at: int = None,
                  checkpoint_path=None, manifest_path=None,
-                 trace_path=None, metrics_path=None,
-                 live=None) -> RunResult:
+                 trace_path=None, metrics_path=None, live=None,
+                 pool=None, after_step=None, stride: int = 0,
+                 header_fields: dict = None) -> RunResult:
     """Render ``num_frames`` of a benchmark under a technique.
+
+    This is the one cell executor: the CLI, the serial cell runner, the
+    supervisor's workers and the service's
+    :func:`~repro.service.pool.execute_job` all render through it.
+    NumPy's global generator is reseeded from the cell identity
+    (:func:`cell_seed`) before the first frame, so a result is a pure
+    function of the cell, whatever the process ran before.
+
+    Engine:
+
+    * ``pool`` — a :class:`~repro.service.pool.WarmEnginePool`: a fresh
+      run takes a reset resident engine from it when one matches and
+      returns the engine after a successful run; a failed run's engine
+      is discarded.  Not combinable with ``resume_from``.
+    * ``resume_from`` — path to (or state dict of) a checkpoint written
+      by an earlier run; the session continues from the frame after the
+      checkpoint and the combined result is bit-identical to an
+      uninterrupted run.  ``config`` then defaults to the checkpoint's.
+
+    Checkpoints and hooks:
+
+    * ``checkpoint_at`` — write a checkpoint to ``checkpoint_path``
+      after that many frames, then keep rendering to completion.
+    * ``stride`` / ``after_step`` — ``after_step(frames_rendered)``
+      runs after every ``stride`` frames (``0``: once, at the end);
+      with ``checkpoint_path`` each boundary before the last frame first
+      saves a checkpoint there (atomically), so a killed run resumes.
+    * ``manifest_path`` — write a JSON manifest describing the run.
 
     Observability (:mod:`repro.obs`):
 
@@ -179,7 +225,8 @@ def run_workload(alias: str, technique: str = "baseline",
       sees every frame rendered.  A :class:`~repro.obs.SpanRecorder`
       (``--profile``) aggregates per-stage wall-clock and event counts
       into its :meth:`~repro.obs.SpanRecorder.profile`; one recorder
-      can observe many runs.
+      can observe many runs.  Spans the caller opened stay open on
+      success; if the run raises, every open span is closed.
     * ``trace_path`` — write the tracer's Chrome trace-event JSON there
       (Perfetto-loadable), building a :class:`~repro.obs.TraceRecorder`
       when no ``tracer`` is given.  The trace is written even if the
@@ -188,19 +235,19 @@ def run_workload(alias: str, technique: str = "baseline",
       boundary into a JSONL per-frame metrics log there (the input to
       ``python -m repro report``).
     * ``live`` — a :class:`~repro.obs.live.LiveSink` receiving a
-      per-frame progress callback (see :mod:`repro.obs.live`); falsy
-      sinks cost one truthiness check per frame.
-
-    Checkpoint/resume:
-
-    * ``resume_from`` — path to (or state dict of) a checkpoint written
-      by an earlier run; the session continues from the frame after the
-      checkpoint and the combined result is bit-identical to an
-      uninterrupted run.
-    * ``checkpoint_at`` — write a checkpoint to ``checkpoint_path``
-      after that many frames, then keep rendering to completion.
-    * ``manifest_path`` — write a JSON manifest describing the run.
+      per-frame progress callback (see :mod:`repro.obs.live`) and a
+      final ``finish``; falsy sinks cost one truthiness check per frame.
+    * ``header_fields`` — caller context stamped into the trace metadata
+      and the metrics header (the supervisor's cell, attempt and resume
+      frame).  A stamped metrics log is appended to, so every attempt of
+      a retried cell adds its own section to one file.
     """
+    if checkpoint_at is not None and checkpoint_path is None:
+        raise ValueError("checkpoint_at requires checkpoint_path")
+    if pool is not None and resume_from is not None:
+        raise ValueError("a warm pool serves fresh runs, not resumed ones")
+    if resume_from is None and config is None:
+        config = GpuConfig.benchmark()
     metrics = None
     if trace_path is not None or metrics_path is not None:
         from ..obs import MetricsLog, TraceRecorder
@@ -208,40 +255,52 @@ def run_workload(alias: str, technique: str = "baseline",
         if trace_path is not None and tracer is None:
             tracer = TraceRecorder()
         if metrics_path is not None:
-            metrics = MetricsLog(metrics_path)
+            metrics = MetricsLog(
+                metrics_path, mode="a" if header_fields else "w"
+            )
 
-    if resume_from is not None:
-        session = RenderSession.from_checkpoint(
-            resume_from, config=config,
-            tracer=tracer, metrics=metrics, live=live,
-        )
-        resumed_at = session.frames_rendered
-    else:
-        session = RenderSession(
-            alias, technique=technique, config=config,
-            num_frames=num_frames, exact_signatures=exact_signatures,
-            tracer=tracer, metrics=metrics, live=live,
-        )
-        resumed_at = 0
-
+    session = None
+    done = False
     try:
+        if resume_from is not None:
+            session = RenderSession.from_checkpoint(resume_from, config=config)
+        elif pool is not None:
+            key = pool.key(alias, technique, exact_signatures, config)
+            session = pool.acquire(key, num_frames)
+        if session is None:
+            session = RenderSession(
+                alias, technique=technique, config=config,
+                num_frames=num_frames, exact_signatures=exact_signatures,
+            )
+        resumed_at = session.frames_rendered
+        np.random.seed(cell_seed(
+            session.alias, session.technique_name, session.num_frames,
+            session.exact_signatures,
+        ))
+        session.attach_observability(
+            tracer=tracer, metrics=metrics, live=live,
+            header_fields=header_fields,
+        )
         if checkpoint_at is not None:
             session.run(until=checkpoint_at)
-            if checkpoint_path is None:
-                raise ValueError("checkpoint_at requires checkpoint_path")
             session.save(checkpoint_path)
-        session.run()
+        session.run_checkpointed(stride, checkpoint_path, after_step)
+        done = True
     finally:
-        if tracer is not None:
+        if tracer is not None and not done:
             tracer.close_open_spans()
         if trace_path is not None:
             tracer.write(trace_path)
         if metrics is not None:
             metrics.close()
         if live:
-            live.finish(ok=session.frames_rendered >= session.num_frames)
+            live.finish(ok=done)
+        if pool is not None and session is not None and not done:
+            pool.discard()
 
     result = result_from_session(session)
+    if pool is not None:
+        pool.release(key, session)
     if manifest_path is not None:
         _write_manifest(
             manifest_path, session, result, resumed_at, checkpoint_path

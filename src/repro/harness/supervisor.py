@@ -19,9 +19,9 @@ On top of that the supervisor adds:
 * **crash detection** — a worker that dies without reporting (killed,
   segfault, ``os._exit``) is detected by its closed pipe and exit
   code; only its cell is rescheduled, on a freshly forked worker;
-* **checkpoint recovery** — with ``checkpoint_stride > 0`` the worker
-  saves a :class:`~repro.engine.session.RenderSession` checkpoint every
-  ``stride`` frames (atomically; see
+* **checkpoint recovery** — with ``checkpoint_stride > 0`` the worker's
+  :func:`~repro.harness.runner.run_workload` call saves a checkpoint
+  every ``stride`` frames (atomically; see
   :func:`repro.engine.checkpoint.save_checkpoint`), and a retried
   attempt resumes from the last checkpoint instead of starting over —
   the combined result is bit-identical to an uninterrupted run, down to
@@ -59,21 +59,19 @@ import tempfile
 import time
 import typing
 
-import numpy as np
-
 from ..config import GpuConfig
 from ..engine.checkpoint import try_load_checkpoint
-from ..engine.session import RenderSession
 from ..errors import ReproError, SupervisionError
 from .parallel import (
     Cell,
     cell_label,
-    cell_seed,
     coerce_cells,
     ensure_unique_paths,
     per_cell_path,
 )
-from .runner import RunResult, result_from_session
+from .runner import RunResult, run_workload
+# Not called here: perfbench/layers.py wraps this binding by name.
+from .runner import result_from_session  # noqa: F401
 
 __all__ = [
     "FAULT_ENV_VAR",
@@ -334,6 +332,8 @@ def _attempt_main(conn, cell: Cell, config: GpuConfig,
     rendered frame — which the parent routes to its
     :class:`~repro.obs.live.LiveAggregator`.
 
+    The cell runs through :func:`~repro.harness.runner.run_workload`,
+    resumed from ``ckpt_path`` when a loadable checkpoint is there.
     Observability: ``trace_path`` records a Chrome trace for this
     attempt (rewritten per attempt, metadata stamped with the cell,
     attempt number and resume frame, so the journal's ``attempt_start``
@@ -342,70 +342,39 @@ def _attempt_main(conn, cell: Cell, config: GpuConfig,
     stamped header and the frames it rendered, flushed per record so
     even a crashed attempt leaves its completed frames on disk.
     """
-    np.random.seed(cell_seed(cell))
-    tracer = metrics = None
+    armed = fault is not None and fault.matches(cell)
+
+    def after_step(frames_rendered: int) -> None:
+        conn.send(("progress", frames_rendered))
+        if armed and fault.should_fire(attempt, frames_rendered):
+            _fire_fault(fault)
+
     try:
-        if trace_path is not None or metrics_path is not None:
-            from ..obs import MetricsLog, TraceRecorder
-
-            if trace_path is not None:
-                tracer = TraceRecorder()
-            if metrics_path is not None:
-                metrics = MetricsLog(metrics_path, mode="a")
-
         state = try_load_checkpoint(ckpt_path)
-        if state is not None:
-            session = RenderSession.from_checkpoint(state)
-            resumed_from = session.frames_rendered
-        else:
-            session = RenderSession(
-                cell.alias, technique=cell.technique, config=config,
-                num_frames=cell.num_frames,
-                exact_signatures=cell.exact_signatures,
-            )
-            resumed_from = 0
-        live_sink = None
+        resumed_from = len(state["frames"]) if state is not None else 0
+        live = None
         if live_enabled:
             from ..obs.live import ChannelLiveSink
 
-            live_sink = ChannelLiveSink(
-                conn, cell_label(cell), attempt=attempt,
-            )
-        if tracer is not None or metrics is not None or live_sink is not None:
-            session.attach_observability(
-                tracer=tracer, metrics=metrics, live=live_sink,
-                header_fields={
-                    "cell": cell_label(cell),
-                    "attempt": attempt,
-                    "resumed_from_frame": resumed_from,
-                },
-            )
-
-        armed = fault is not None and fault.matches(cell)
-
-        def after_step(frames_rendered: int) -> None:
-            conn.send(("progress", frames_rendered))
-            if armed and fault.should_fire(attempt, frames_rendered):
-                _fire_fault(fault)
-
-        session.run_checkpointed(
-            policy.checkpoint_stride, ckpt_path, after_step
+            live = ChannelLiveSink(conn, cell_label(cell), attempt=attempt)
+        result = run_workload(
+            cell.alias, cell.technique, config, cell.num_frames,
+            exact_signatures=cell.exact_signatures, resume_from=state,
+            checkpoint_path=ckpt_path, stride=policy.checkpoint_stride,
+            after_step=after_step, trace_path=trace_path,
+            metrics_path=metrics_path, live=live,
+            header_fields={
+                "cell": cell_label(cell),
+                "attempt": attempt,
+                "resumed_from_frame": resumed_from,
+            },
         )
-        conn.send(("ok", result_from_session(session), resumed_from))
+        conn.send(("ok", result, resumed_from))
     except BaseException as exc:  # noqa: BLE001 - report, then die quietly
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
         except (OSError, ValueError):
             pass
-    finally:
-        if tracer is not None:
-            try:
-                tracer.close_open_spans()
-                tracer.write(trace_path)
-            except OSError:      # pragma: no cover - best-effort artifact
-                pass
-        if metrics is not None:
-            metrics.close()
 
 
 def _worker_main(conn, parent_conn) -> None:

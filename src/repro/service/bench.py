@@ -26,6 +26,7 @@ import argparse
 import statistics
 import time
 
+from ..config import SCALES
 from ..perf import write_bench
 from .jobs import JobSpec
 from .pool import WarmEnginePool, execute_job
@@ -98,7 +99,7 @@ def main(argv=None) -> int:
     parser.add_argument("--frames", type=int, default=4)
     parser.add_argument("--requests", type=int, default=5)
     parser.add_argument("--scale", default="small",
-                        choices=("small", "benchmark", "mali450"))
+                        choices=SCALES)
     args = parser.parse_args(argv)
     payload = service_bench(
         args.game, technique=args.technique, num_frames=args.frames,

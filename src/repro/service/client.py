@@ -7,10 +7,9 @@ protocol of :mod:`repro.service.server` and rebuilds typed refusals
 :class:`~repro.errors.TenantError` / ...) so callers handle a remote
 "queue full" exactly like a local one.
 
-:func:`run_job_inprocess` is the no-daemon mode: the CLI's plain
-``repro run`` routes through it, executing the same
-:func:`~repro.service.pool.execute_job` path the daemon's workers run —
-one code path, so direct runs and service runs cannot drift apart.
+Without a daemon, ``repro run`` calls
+:func:`~repro.harness.runner.run_workload` itself — the executor the
+daemon's workers run too, so direct and service runs cannot drift.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ from ..errors import (
     ServiceError,
     TenantError,
 )
-from .jobs import JobSpec
-from .pool import WarmEnginePool, execute_job
 
-__all__ = ["ServiceClient", "run_job_inprocess"]
+__all__ = ["ServiceClient"]
 
 #: Wire ``kind`` back to the exception the daemon raised.
 _ERROR_KINDS = {
@@ -188,26 +185,3 @@ class ServiceClient:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-def run_job_inprocess(spec: JobSpec, pool: WarmEnginePool = None,
-                      trace_path=None, metrics_path=None, live=None,
-                      tracer=None):
-    """Run one job through a transient in-process service.
-
-    The CLI's default ``repro run`` path: validates the spec, executes
-    it via the exact worker code path (:func:`execute_job` — including
-    the per-cell reseed), and returns the :class:`RunResult`.  With a
-    ``pool`` the engine stays warm for the caller's next job (the warm
-    benchmark and batched CLI futures use this); without one the
-    behaviour — and the output, bit for bit — matches the pre-service
-    direct :func:`~repro.harness.runner.run_workload` call.  ``tracer``
-    is handed to :func:`execute_job` (``--profile`` passes its
-    recorder).
-    """
-    result, _info = execute_job(
-        spec.validated(), pool=pool,
-        trace_path=trace_path, metrics_path=metrics_path, live=live,
-        tracer=tracer,
-    )
-    return result

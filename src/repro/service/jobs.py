@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from ..config import GpuConfig
+from ..config import SCALES, GpuConfig, preset
 from ..engine.factory import TECHNIQUES
 from ..errors import ConfigError, ReproError, ServiceError
 from ..harness.experiments import EXPERIMENT_TECHNIQUES
@@ -45,9 +45,6 @@ DEFAULT_TENANT = "default"
 #: Payload kinds :func:`expand_payload` understands.
 JOB_KINDS = ("render", "sweep", "experiment")
 
-#: Config presets a spec may name (mirrors the CLI's ``--scale``).
-SCALES = ("small", "benchmark", "mali450")
-
 #: The hard-coded workload aliases (games + pseudo-workloads).  Kept as
 #: a constant for compatibility; admission control validates against
 #: :func:`known_aliases`, which also sees DSL-registered workloads.
@@ -64,14 +61,6 @@ def known_aliases() -> tuple:
     from ..workloads.games import all_workload_aliases
 
     return all_workload_aliases()
-
-
-def _preset(scale: str) -> GpuConfig:
-    return {
-        "small": GpuConfig.small,
-        "benchmark": GpuConfig.benchmark,
-        "mali450": GpuConfig.mali450,
-    }[scale]()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,7 +122,7 @@ class JobSpec:
 
     def config(self) -> GpuConfig:
         """The spec's :class:`GpuConfig`: preset plus overrides."""
-        config = _preset(self.scale)
+        config = preset(self.scale)
         if not self.overrides:
             return config
         try:

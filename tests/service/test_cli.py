@@ -1,10 +1,12 @@
 """CLI surface of the service layer.
 
 ``test_service_path_output_identical_to_direct`` pins the service's
-bit-identity contract at the layer ``repro run`` uses: the transient
-in-process service (:func:`run_job_inprocess`) returns, and the CLI
-prints, exactly what a plain :func:`run_workload` call does.
+bit-identity contract at the layer ``repro run`` uses: the service's
+:func:`execute_job` returns, and the CLI prints, exactly what a plain
+:func:`run_workload` call does.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from repro.__main__ import _print_run_summary, main
 from repro.config import GpuConfig
 from repro.harness.runner import run_workload
 from repro.obs.live import LiveAggregator
-from repro.service import JobSpec, run_job_inprocess
+from repro.service import JobSpec, execute_job
 from repro.service.daemon import EngineDaemon, ServiceConfig
 from repro.service.server import ServiceServer
 
@@ -22,7 +24,7 @@ FRAMES = 2
 
 class TestRunRoutesThroughService:
     def test_service_path_output_identical_to_direct(self, capsys):
-        service = run_job_inprocess(JobSpec("ccs", "re", num_frames=3))
+        service, _info = execute_job(JobSpec("ccs", "re", num_frames=3))
         direct = run_workload("ccs", "re", GpuConfig.small(), num_frames=3)
         assert np.array_equal(service.tile_color_crcs,
                               direct.tile_color_crcs)
@@ -36,10 +38,38 @@ class TestRunRoutesThroughService:
         assert capsys.readouterr().out == service_out
         assert "ccs under re" in service_out
 
-    def test_run_rejects_bad_tenant_before_rendering(self, capsys):
-        assert main(["--frames", "2", "run", "ccs",
-                     "--tenant", "a/b"]) == 2
-        assert "tenant" in capsys.readouterr().err
+    def test_run_rejects_bad_tenant_before_rendering(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # Plain, manifest-writing and supervised runs all refuse the
+        # tenant up front: exit 2, nothing rendered, nothing written.
+        monkeypatch.chdir(tmp_path)
+        run = ["run", "ccs", "--tenant", "a/b", "--no-registry"]
+        for argv in (["--frames", "2"] + run,
+                     ["--frames", "1"] + run + ["--manifest", "m.json"],
+                     ["--frames", "1", "--retries", "0"] + run):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert "tenant" in captured.err, argv
+            assert "ccs under re" not in captured.out, argv
+            assert not (tmp_path / "m.json").exists(), argv
+
+    def test_checkpoint_resume_and_manifest_match_a_plain_run(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        run = ["--frames", "4", "run", "ccs", "--no-registry"]
+        assert main(run) == 0
+        plain = capsys.readouterr().out
+        assert main(run + ["--checkpoint-at", "2", "--checkpoint-out", "ck",
+                           "--manifest", "m.json"]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(run + ["--resume", "ck"]) == 0
+        first, rest = capsys.readouterr().out.split("\n", 1)
+        assert first == "resumed from checkpoint ck"
+        assert rest == plain
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        direct = run_workload("ccs", "re", GpuConfig.small(), num_frames=4)
+        assert manifest["final_frame_crc"] == direct.final_frame_crc
+        assert manifest["checkpoint_path"] == "ck"
 
     def test_run_records_into_tenant_namespace(self, tmp_path, capsys):
         registry = str(tmp_path / "reg")

@@ -19,6 +19,11 @@ from repro.workloads.games import FIGURE_ORDER
 NUM_FRAMES = 3
 
 
+def key(spec: JobSpec) -> tuple:
+    return WarmEnginePool.key(spec.alias, spec.technique,
+                              spec.exact_signatures, spec.config())
+
+
 class TestPoolMechanics:
     def test_cold_then_warm(self):
         pool = WarmEnginePool(max_engines=2)
@@ -42,7 +47,7 @@ class TestPoolMechanics:
             JobSpec("ccs", "re", NUM_FRAMES,
                     overrides=(("tile_size", 8),)),      # config digest
         ]:
-            assert WarmEnginePool.key(base) != WarmEnginePool.key(other)
+            assert key(base) != key(other)
 
     def test_num_frames_does_not_split_the_pool(self):
         # Run length is a per-request knob (reset retargets it), not an
