@@ -347,6 +347,22 @@ def _run_spec_from(args):
     ).validated()
 
 
+def _checkpoint_flags_error(args, num_frames: int):
+    """Why ``--checkpoint-at``/``--checkpoint-out`` cannot be honoured,
+    or ``None``.  The pair goes together, and the checkpoint must fall
+    strictly inside the run (on ``--resume`` the frame count comes from
+    the checkpoint, so only the lower end is known here)."""
+    at, out = args.checkpoint_at, args.checkpoint_out
+    if (at is None) != (out is None):
+        return "--checkpoint-at and --checkpoint-out go together"
+    if at is None:
+        return None
+    if at < 1 or (not args.resume and at >= num_frames):
+        return (f"--checkpoint-at {at} must fall inside the run: "
+                f"1 <= N < {num_frames}")
+    return None
+
+
 def _resolve_run_workload(args) -> int:
     """Resolve ``--workload-file``/``--native`` and validate the alias.
 
@@ -426,6 +442,10 @@ def _cmd_run(args) -> int:
         spec = _run_spec_from(args)
     except ServiceError as exc:
         print(f"run failed: {exc.args[0]}", file=sys.stderr)
+        return 2
+    failed = _checkpoint_flags_error(args, spec.num_frames)
+    if failed:
+        print(f"run failed: {failed}", file=sys.stderr)
         return 2
     if _supervision_requested(args):
         return _cmd_run_supervised(args, spec)

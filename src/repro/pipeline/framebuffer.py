@@ -18,6 +18,18 @@ DEFAULT_CLEAR_COLOR = (0.0, 0.0, 0.0, 1.0)
 DEFAULT_CLEAR_DEPTH = 1.0
 
 
+def tile_rects(config: GpuConfig) -> tuple:
+    """Pixel rect (x0, y0, x1, y1) of every tile in raster order,
+    clipped to the screen (edge tiles may be partial)."""
+    size = config.tile_size
+    width, height = config.screen_width, config.screen_height
+    return tuple(
+        (x0, y0, min(x0 + size, width), min(y0 + size, height))
+        for y0 in range(0, height, size)
+        for x0 in range(0, width, size)
+    )
+
+
 class TileBuffers:
     """One tile's on-chip color and depth arrays."""
 
@@ -43,6 +55,7 @@ class FrameBuffer:
             np.zeros(shape, dtype=np.float32),
         ]
         self._back = 0
+        self.tile_rects = tile_rects(config)
 
     @property
     def back(self) -> np.ndarray:
@@ -60,15 +73,9 @@ class FrameBuffer:
     def tile_rect(self, tile_id: int) -> tuple:
         """Pixel rect (x0, y0, x1, y1) of a tile, clipped to the screen
         (edge tiles may be partial)."""
-        if not (0 <= tile_id < self.config.num_tiles):
+        if not (0 <= tile_id < len(self.tile_rects)):
             raise PipelineError(f"tile id {tile_id} out of range")
-        size = self.config.tile_size
-        tx = tile_id % self.config.tiles_x
-        ty = tile_id // self.config.tiles_x
-        x0, y0 = tx * size, ty * size
-        x1 = min(x0 + size, self.config.screen_width)
-        y1 = min(y0 + size, self.config.screen_height)
-        return x0, y0, x1, y1
+        return self.tile_rects[tile_id]
 
     def tile_pixels(self, tile_id: int) -> int:
         x0, y0, x1, y1 = self.tile_rect(tile_id)

@@ -19,17 +19,27 @@ computed over the identical (primitive, tiles) stream whether or not
 culling is enabled.
 
 When ``GpuConfig.occlusion_culling`` is set, the PLB additionally runs
-an opaque-tile occlusion pass per binned primitive: a primitive that
-(a) fully covers a tile's pixel centers (four-corner edge-function
-test, :func:`repro.pipeline.rasterizer.covers_rect`), (b) is opaque
-(no alpha blending) and depth-writing, and (c) is depth-safe —
-guaranteed to pass the LESS test at every covered pixel, either because
-it doesn't depth-test at all or because its maximum vertex depth clears
-the running minimum of everything written beneath it by a margin —
-replaces the whole tile bin.  Everything previously listed for the tile
-is unreachable behind it: the occluder rewrites every color (opaque =
-REPLACE blend) and every depth, so the tile's end state is bit-identical
-with or without the buried primitives (argued in full in DESIGN.md).
+an opaque-tile occlusion pass per binned primitive.  A set of
+primitives that are (a) opaque (no alpha blending), (b) depth-writing
+and (c) depth-safe — guaranteed to pass the LESS test at every pixel
+they cover, either because they don't depth-test at all or because
+their maximum vertex depth clears the running minimum of everything
+written beneath those pixels by a margin — replaces the whole tile bin
+once the OR of their coverage masks reaches every pixel center of the
+tile.  Everything previously listed for the tile is unreachable behind
+the set: it rewrites every color (opaque = REPLACE blend) and every
+depth, so the tile's end state is bit-identical with or without the
+buried primitives (argued in full in DESIGN.md).
+
+The pass evaluates each primitive's coverage once, with
+:func:`repro.pipeline.rasterizer.coverage_mask` over the tile-aligned
+block of the tiles it is binned in, and keeps its state in screen-sized
+planes padded to whole tiles (per-pixel depth bounds and accumulated
+set coverage), stored tile-major as ``(tiles_y, tiles_x, tile_size**2)``
+so each tile's pixels are contiguous.  Every per-tile decision — any
+coverage, depth safety, set completion — is then one reduction over the
+last axis of the block; Python-level work is left only for the tiles
+whose sets complete.
 """
 
 from __future__ import annotations
@@ -42,8 +52,11 @@ from ..config import GpuConfig
 from ..engine.stage import Stage
 from ..geometry.primitives import Primitive
 from ..memory.dram import Dram
-from .framebuffer import DEFAULT_CLEAR_DEPTH
-from .rasterizer import coverage_mask, covers_rect, iteration_bounds
+from .framebuffer import DEFAULT_CLEAR_DEPTH, tile_rects
+from .rasterizer import coverage_mask, iteration_bounds
+# perfbench/layers.py counts calls to ``tiling.covers_rect`` by name;
+# the pass no longer calls it, but the binding must still resolve.
+from .rasterizer import covers_rect  # noqa: F401
 
 #: Bytes of the per-tile polygon-list pointer entry written per
 #: (primitive, tile) pair.
@@ -67,6 +80,16 @@ class TilingStats:
     tiles_fully_covered: int = 0   # distinct tiles per frame, summed
     prims_occlusion_culled: int = 0
     fragments_avoided: int = 0     # raster-iteration pixels not visited
+
+
+def _tile_major(pixels: np.ndarray, size: int) -> np.ndarray:
+    """Reorder a tile-aligned ``(rows * size, cols * size)`` pixel block
+    as ``(rows, cols, size * size)``: each tile's pixels contiguous, so
+    per-tile reductions run over the last axis."""
+    rows, cols = pixels.shape[0] // size, pixels.shape[1] // size
+    return pixels.reshape(rows, size, cols, size).swapaxes(1, 2).reshape(
+        rows, cols, size * size
+    )
 
 
 class ParameterBuffer:
@@ -123,35 +146,52 @@ class PolygonListBuilder(Stage):
         self.occlusion_culling = bool(
             getattr(config, "occlusion_culling", False)
         )
-        #: Per-tile, per-pixel lower bound on any depth the prims
-        #: inserted so far can have written there: the min over covering
-        #: depth-writing prims' minimum vertex depth, seeded with the
-        #: clear depth each frame.  Per-pixel (not a tile scalar) so
-        #: that coplanar tessellated layers — whose triangles are
-        #: disjoint and never depth-fight each other — can still
-        #: qualify as occluders.
-        self._depth_bounds: dict = {}
+        self._tiles_x, self._tiles_y = config.tiles_x, config.tiles_y
         self._covered_tiles: set = set()
-        #: Per-tile accumulated coverage of the current occluding set:
-        #: tile_id -> (bin index of the set's first member, bool mask).
-        self._accum: dict = {}
         #: (tile_id, prims_dropped, fragments_avoided) per truncation
         #: this frame, for the tracer's instant events.
         self.occlusion_events: list = []
+        if self.occlusion_culling:
+            self._tile_rects = tile_rects(config)
+            size = config.tile_size
+            tiles = (self._tiles_y, self._tiles_x)
+            plane = tiles + (size * size,)
+            #: Per-pixel lower bound on any depth the prims inserted so
+            #: far can have written there: the min over covering
+            #: depth-writing prims' minimum vertex depth, seeded with the
+            #: clear depth each frame.  Per-pixel (not a tile scalar) so
+            #: that coplanar tessellated layers — whose triangles are
+            #: disjoint and never depth-fight each other — can still
+            #: qualify as occluders.
+            self._bound = np.empty(plane, dtype=np.float64)
+            #: Pixels past the screen's right/bottom edge, which every
+            #: set covers trivially.
+            pad = np.ones((tiles[0] * size, tiles[1] * size), dtype=bool)
+            pad[:config.screen_height, :config.screen_width] = False
+            self._pad = _tile_major(pad, size)
+            #: Accumulated coverage of each tile's current occluding set,
+            #: padding included (just the padding while the tile has no
+            #: set).
+            self._cover = np.empty(plane, dtype=bool)
+            #: Bin index of each tile's set's first member, -1 for none.
+            self._first = np.empty(tiles, dtype=np.int64)
+            #: Bin length per tile (bin index of a just-inserted prim + 1).
+            self._bin_len = np.empty(tiles, dtype=np.int64)
 
     def overlapped_tiles(self, prim: Primitive) -> list:
         """Tile ids whose area intersects the primitive's bounding box,
         clamped to the screen."""
         x0, y0, x1, y1 = prim.bounds()
         size = self.config.tile_size
+        tiles_x = self._tiles_x
         tx0 = max(0, x0 // size)
         ty0 = max(0, y0 // size)
-        tx1 = min(self.config.tiles_x - 1, (x1 - 1) // size)
-        ty1 = min(self.config.tiles_y - 1, (y1 - 1) // size)
+        tx1 = min(tiles_x - 1, (x1 - 1) // size)
+        ty1 = min(self._tiles_y - 1, (y1 - 1) // size)
         if tx1 < tx0 or ty1 < ty0:
             return []
         return [
-            ty * self.config.tiles_x + tx
+            ty * tiles_x + tx
             for ty in range(ty0, ty1 + 1)
             for tx in range(tx0, tx1 + 1)
         ]
@@ -180,97 +220,97 @@ class PolygonListBuilder(Stage):
             if self.occlusion_culling:
                 self._occlusion_update(prim, tile_ids)
 
-    def _tile_rect(self, tile_id: int) -> tuple:
-        """Pixel rect (x0, y0, x1, y1) of a tile, clipped to the screen
-        (matches ``FrameBuffer.tile_rect``)."""
-        size = self.config.tile_size
-        tx = tile_id % self.config.tiles_x
-        ty = tile_id // self.config.tiles_x
-        x0, y0 = tx * size, ty * size
-        return (
-            x0, y0,
-            min(x0 + size, self.config.screen_width),
-            min(y0 + size, self.config.screen_height),
-        )
-
-    def _depth_bound(self, tile_id: int, rect: tuple) -> np.ndarray:
-        bound = self._depth_bounds.get(tile_id)
-        if bound is None:
-            bound = np.full(
-                (rect[3] - rect[1], rect[2] - rect[0]),
-                DEFAULT_CLEAR_DEPTH, dtype=np.float64,
-            )
-            self._depth_bounds[tile_id] = bound
-        return bound
-
     def _occlusion_update(self, prim: Primitive, tile_ids) -> None:
-        """Fold the just-inserted primitive into each tile's occluding
-        set; truncate bins whose set now covers every pixel center, then
-        fold the primitive's depths into the per-tile depth bounds."""
+        """Fold the just-inserted primitive into the occluding sets of
+        the tiles it is binned in; truncate bins whose set now covers
+        every pixel center, then fold the primitive's depths into the
+        depth bounds.
+
+        ``tile_ids`` is a row-major block of tiles, so one coverage mask
+        over the block's pixels serves every tile: its slice for a tile
+        is bit-exact with a mask evaluated over that tile alone (the
+        edge functions are sampled at the same absolute centers).
+        """
+        ty0, tx0 = divmod(tile_ids[0], self._tiles_x)
+        ty1, tx1 = divmod(tile_ids[-1], self._tiles_x)
+        self._bin_len[ty0:ty1 + 1, tx0:tx1 + 1] += 1
         state = prim.state
         if not state.depth_write:
             # Can neither occlude (must rewrite depth everywhere) nor
             # lower any stored depth — invisible to this pass.
             return
-        min_depth = float(prim.depth.min())
-        max_depth = float(prim.depth.max())
-        opaque = not state.shader.uses_alpha_blend
-        for tile_id in tile_ids:
-            rect = self._tile_rect(tile_id)
-            # Fast path: the four-corner edge test — full coverage
-            # without evaluating the per-pixel mask.
-            if covers_rect(prim, rect):
-                mask = np.ones(
-                    (rect[3] - rect[1], rect[2] - rect[0]), dtype=bool
-                )
-            else:
-                mask = coverage_mask(prim, rect)
-                if mask is None:
-                    continue
-            bound = self._depth_bound(tile_id, rect)
-            if opaque:
-                # Depth-safe: passes the LESS test at every pixel it
-                # covers — no test at all, or strictly above everything
-                # that can have been written beneath those pixels.
-                depth_safe = (not state.depth_test) or (
-                    max_depth + OCCLUSION_DEPTH_MARGIN
-                    < float(bound[mask].min())
-                )
-                if depth_safe:
-                    self._accumulate_occluder(prim, tile_id, rect, mask)
-            np.minimum(bound, min_depth, out=bound, where=mask)
-
-    def _accumulate_occluder(self, prim: Primitive, tile_id: int,
-                             rect: tuple, mask: np.ndarray) -> None:
-        """OR one qualifying opaque primitive's coverage into the tile's
-        occluding set and truncate the bin once the set is complete."""
-        bin_ = self.parameter_buffer.bins[tile_id]
-        if mask.all():
-            # A single full-cover primitive occludes on its own,
-            # irrespective of any set accumulated so far — truncate
-            # everything older than it.
-            self._accum.pop(tile_id, None)
-            self._complete_cover(tile_id, rect, len(bin_) - 1)
+        size = self.config.tile_size
+        x0, y0 = tx0 * size, ty0 * size
+        x1, y1 = (tx1 + 1) * size, (ty1 + 1) * size
+        mask = coverage_mask(prim, (
+            x0, y0,
+            min(x1, self.config.screen_width),
+            min(y1, self.config.screen_height),
+        ))
+        if mask is None:
             return
-        entry = self._accum.get(tile_id)
-        if entry is None:
-            # The set's first member is the primitive just appended.
-            self._accum[tile_id] = [len(bin_) - 1, mask.copy()]
-            return
-        entry[1] |= mask
-        if entry[1].all():
-            del self._accum[tile_id]
-            self._complete_cover(tile_id, rect, entry[0])
+        if mask.shape != (y1 - y0, x1 - x0):
+            # The block ends in a partial edge tile: pad with uncovered
+            # pixels to whole tiles.
+            padded = np.zeros((y1 - y0, x1 - x0), dtype=bool)
+            padded[:mask.shape[0], :mask.shape[1]] = mask
+            mask = padded
+        mask = _tile_major(mask, size)
+        bound = self._bound[ty0:ty1 + 1, tx0:tx1 + 1]
+        if not state.shader.uses_alpha_blend:
+            self._fold_occluder(prim, mask, bound, ty0, tx0)
+        np.minimum(bound, float(prim.depth.min()), out=bound, where=mask)
 
-    def _complete_cover(self, tile_id: int, rect: tuple,
-                        keep_from: int) -> None:
-        """Record a fully-covered tile and drop the buried prefix."""
+    def _fold_occluder(self, prim: Primitive, mask: np.ndarray,
+                       bound: np.ndarray, ty0: int, tx0: int) -> None:
+        """OR one opaque primitive's coverage into the occluding set of
+        every tile where it is a member, and truncate the bins whose set
+        is now complete.  ``mask`` and ``bound`` are the block's
+        tile-major ``(nty, ntx, size * size)`` coverage and depth
+        bounds."""
+        # Member: covers a pixel of the tile and is depth-safe there —
+        # passes the LESS test at every pixel it covers, with no test at
+        # all or strictly above everything written beneath them.
+        member = mask.any(axis=-1)
+        if prim.state.depth_test:
+            clears = bound > float(prim.depth.max()) + OCCLUSION_DEPTH_MARGIN
+            member &= ~(mask & ~clears).any(axis=-1)
+        if not member.any():
+            return
+        nty, ntx = member.shape
+        block = np.s_[ty0:ty0 + nty, tx0:tx0 + ntx]
+        cover = self._cover[block]
+        first, bin_len = self._first[block], self._bin_len[block]
+        np.logical_or(cover, mask, out=cover, where=member[..., None])
+        done = member & cover.all(axis=-1)
+        # A set that has none yet starts with the primitive just
+        # appended.
+        start = member & ~done & (first < 0)
+        first[start] = bin_len[start] - 1
+        for index in np.flatnonzero(done):
+            ty, tx = divmod(int(index), ntx)
+            pad = self._pad[ty0 + ty, tx0 + tx]
+            keep_from = first[ty, tx]
+            if keep_from < 0 or (mask[ty, tx] | pad).all():
+                # A primitive that alone covers the tile occludes on
+                # its own, irrespective of any set accumulated so far.
+                keep_from = bin_len[ty, tx] - 1
+            first[ty, tx] = -1
+            cover[ty, tx] = pad
+            bin_len[ty, tx] -= self._complete_cover(
+                (ty0 + ty) * self._tiles_x + tx0 + tx, int(keep_from)
+            )
+
+    def _complete_cover(self, tile_id: int, keep_from: int) -> int:
+        """Record a fully-covered tile and drop the buried prefix;
+        returns the number of primitives dropped."""
         if tile_id not in self._covered_tiles:
             self._covered_tiles.add(tile_id)
             self.stats.tiles_fully_covered += 1
         dropped = self.parameter_buffer.truncate_bin(tile_id, keep_from)
         if not dropped:
-            return
+            return 0
+        rect = self._tile_rects[tile_id]
         avoided = 0
         for buried in dropped:
             bounds = iteration_bounds(buried, rect)
@@ -281,11 +321,15 @@ class PolygonListBuilder(Stage):
         self.stats.prims_occlusion_culled += len(dropped)
         self.stats.fragments_avoided += avoided
         self.occlusion_events.append((tile_id, len(dropped), avoided))
+        return len(dropped)
 
     def begin_frame(self, ctx=None) -> None:
         self.parameter_buffer.clear()
         self._pb_cursor = 0
-        self._depth_bounds.clear()
         self._covered_tiles.clear()
-        self._accum.clear()
         self.occlusion_events.clear()
+        if self.occlusion_culling:
+            self._bound.fill(DEFAULT_CLEAR_DEPTH)
+            self._cover[...] = self._pad
+            self._first.fill(-1)
+            self._bin_len.fill(0)

@@ -147,3 +147,98 @@ class TestOcclusionLossless:
         plain, culled, _ = culled_pair
         assert culled.fragments_rasterized <= plain.fragments_rasterized
         assert culled.fragments_shaded <= plain.fragments_shaded
+
+
+#: A screen whose width and height are multiples of neither tile size,
+#: so the right column and bottom row are partial tiles.
+PARTIAL_FRAMES = 3
+PARTIAL_CONFIGS = {
+    size: dataclasses.replace(
+        CONFIG, screen_width=100, screen_height=70, tile_size=size,
+    )
+    for size in (16, 8)
+}
+
+#: Golden (tiles_fully_covered, prims_occlusion_culled, fragments_avoided)
+#: per (tile size, workload) of a culled baseline run on
+#: :data:`PARTIAL_CONFIGS`, 3 frames, recorded with the per-tile
+#: occlusion pass the block pass replaced.  Regenerate (only for a
+#: deliberate behavior change) with:
+#:   PYTHONPATH=src python - <<'EOF'
+#:   import dataclasses
+#:   from repro.config import GpuConfig
+#:   from repro.harness.runner import run_workload
+#:   from repro.workloads.games import FIGURE_ORDER
+#:   for size in (16, 8):
+#:       config = dataclasses.replace(
+#:           GpuConfig.small(), screen_width=100, screen_height=70,
+#:           tile_size=size, occlusion_culling=True)
+#:       for a in FIGURE_ORDER:
+#:           c = run_workload(a, "baseline", config, num_frames=3).counters
+#:           print(f'    ({size}, "{a}"): (', *(c["tiling." + k] for k in (
+#:               "tiles_fully_covered", "prims_occlusion_culled",
+#:               "fragments_avoided")), sep=", ", end="),\n")
+#:   EOF
+GOLDEN_PARTIAL_OCCLUSION = {
+    (16, "ccs"): (105, 702, 18432),
+    (16, "cde"): (105, 30, 0),
+    (16, "coc"): (105, 78, 136),
+    (16, "ctr"): (105, 30, 0),
+    (16, "hop"): (105, 230, 6144),
+    (16, "mst"): (105, 249, 864),
+    (16, "abi"): (105, 240, 0),
+    (16, "csn"): (105, 45, 132),
+    (16, "ter"): (105, 90, 96),
+    (16, "tib"): (105, 201, 36),
+    (8, "ccs"): (351, 1674, 20808),
+    (8, "cde"): (351, 522, 2664),
+    (8, "coc"): (351, 368, 2776),
+    (8, "ctr"): (351, 696, 5912),
+    (8, "hop"): (351, 1135, 13443),
+    (8, "mst"): (351, 696, 2448),
+    (8, "abi"): (351, 690, 2640),
+    (8, "csn"): (351, 345, 1890),
+    (8, "ter"): (351, 216, 402),
+    (8, "tib"): (351, 502, 3188),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN_PARTIAL_OCCLUSION))
+def partial_pair(request):
+    """(tile size, plain baseline run, culled baseline run) on a screen
+    with partial edge tiles."""
+    size, alias = request.param
+    config = PARTIAL_CONFIGS[size]
+    plain = run_workload(alias, "baseline", config,
+                         num_frames=PARTIAL_FRAMES)
+    culled = run_workload(
+        alias, "baseline",
+        dataclasses.replace(config, occlusion_culling=True),
+        num_frames=PARTIAL_FRAMES,
+    )
+    return size, plain, culled
+
+
+class TestOcclusionPartialTiles:
+    def test_culled_bit_identical_to_plain(self, partial_pair):
+        _, plain, culled = partial_pair
+        assert np.array_equal(
+            culled.tile_color_crcs, plain.tile_color_crcs
+        ), plain.alias
+        assert culled.final_frame_crc == plain.final_frame_crc
+
+    def test_counters_pinned(self, partial_pair):
+        size, _, culled = partial_pair
+        counters = dict(culled.counters)
+        assert tuple(
+            counters["tiling." + name] for name in (
+                "tiles_fully_covered", "prims_occlusion_culled",
+                "fragments_avoided",
+            )
+        ) == GOLDEN_PARTIAL_OCCLUSION[size, culled.alias]
+
+    def test_goldens_cover_every_workload(self):
+        assert set(GOLDEN_PARTIAL_OCCLUSION) == {
+            (size, alias) for size in PARTIAL_CONFIGS
+            for alias in FIGURE_ORDER
+        }

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import GpuConfig
 from repro.errors import PipelineError
-from repro.pipeline.framebuffer import FrameBuffer, TileBuffers
+from repro.pipeline.framebuffer import FrameBuffer, TileBuffers, tile_rects
 import dataclasses
 
 
@@ -45,6 +45,18 @@ class TestFrameBuffer:
         # Bottom row tile: 32..40 tall.
         bottom = (config.tiles_y - 1) * config.tiles_x
         assert fb.tile_rect(bottom)[3] == 40
+
+    def test_tile_rects_table_in_raster_order(self):
+        config = dataclasses.replace(
+            GpuConfig.small(), screen_width=100, screen_height=40
+        )
+        rects = tile_rects(config)
+        assert len(rects) == config.num_tiles
+        for tile_id, rect in enumerate(rects):
+            ty, tx = divmod(tile_id, config.tiles_x)
+            x0, y0 = tx * 16, ty * 16
+            assert rect == (x0, y0, min(x0 + 16, 100), min(y0 + 16, 40))
+        assert FrameBuffer(config).tile_rects == rects
 
     def test_tile_rect_bounds_checked(self):
         fb = FrameBuffer(GpuConfig.small())

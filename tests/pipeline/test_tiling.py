@@ -9,7 +9,12 @@ from repro.config import GpuConfig
 from repro.geometry import DrawState, Primitive, mat4
 from repro.memory.dram import Dram
 from repro.pipeline import Gpu
-from repro.pipeline.tiling import TILE_POINTER_BYTES, PolygonListBuilder
+from repro.pipeline.rasterizer import coverage_mask
+from repro.pipeline.tiling import (
+    OCCLUSION_DEPTH_MARGIN,
+    TILE_POINTER_BYTES,
+    PolygonListBuilder,
+)
 from repro.shaders import ALPHA_TEXTURED, FLAT_COLOR, pack_constants
 from repro.workloads.games import build_scene
 
@@ -169,8 +174,15 @@ HALF_A = [[0, 0], [16, 0], [16, 16]]
 HALF_B = [[0, 0], [16, 16], [0, 16]]
 
 
-def make_cull_plb():
-    return PolygonListBuilder(CULL_CONFIG, Dram(CULL_CONFIG))
+#: 100x70 screen: a 4-px-wide right tile column (tile x 6) and a
+#: 6-px-tall bottom tile row (tile y 4) of partial edge tiles.
+PARTIAL_CONFIG = dataclasses.replace(
+    CULL_CONFIG, screen_width=100, screen_height=70
+)
+
+
+def make_cull_plb(config=CULL_CONFIG):
+    return PolygonListBuilder(config, Dram(config))
 
 
 def bin_all(plb, prims):
@@ -263,6 +275,40 @@ class TestOcclusionCulling:
         assert len(plb.parameter_buffer.tile_primitives(0)) == 2
         assert plb.stats.prims_occlusion_culled == 0
 
+    def test_occluder_straddling_partial_edge_tiles(self):
+        # Tiles 26/27 and 33/34 are the bottom-right 2x2 block: 27 is
+        # narrow, 33 short and 34 both.  One occluder covering every
+        # on-screen pixel center of the block truncates all four bins,
+        # reported in tile_ids order.
+        plb = make_cull_plb(PARTIAL_CONFIG)
+        buried = [prim_at(82, 50, 90, 60), prim_at(97, 50, 99, 60),
+                  prim_at(82, 65, 90, 69), prim_at(97, 65, 99, 69)]
+        occluder = tri([[80, 48], [140, 48], [80, 110]], 0.2)
+        bin_all(plb, buried + [occluder])
+        for tile_id in (26, 27, 33, 34):
+            assert plb.parameter_buffer.tile_primitives(tile_id) == \
+                [occluder]
+        assert [event[0] for event in plb.occlusion_events] == \
+            [26, 27, 33, 34]
+        assert plb.stats.prims_occlusion_culled == 4
+        assert plb.stats.tiles_fully_covered == 4
+
+    def test_partial_tile_set_covers_only_on_screen_pixels(self):
+        # Two halves of tile 27's 4x16 on-screen area complete its
+        # occluding set; the off-screen remainder of the tile counts as
+        # covered.  The buried layer is translucent, so it never joins
+        # the set.
+        plb = make_cull_plb(PARTIAL_CONFIG)
+        buried = tri([[97, 50], [99, 50], [97, 60]], 0.9,
+                     shader=ALPHA_TEXTURED)
+        half_a = tri([[96, 48], [100, 48], [100, 64]], 0.2)
+        half_b = tri([[96, 48], [100, 64], [96, 64]], 0.2)
+        bin_all(plb, [buried, half_a, half_b])
+        bin27 = plb.parameter_buffer.tile_primitives(27)
+        assert [id(p) for p in bin27] == [id(half_a), id(half_b)]
+        assert plb.stats.prims_occlusion_culled == 1
+        assert plb.stats.tiles_fully_covered == 1
+
     def test_begin_frame_resets_occlusion_state(self):
         plb = make_cull_plb()
         bin_all(plb, [prim_at(2, 2, 10, 10), tri(FULL, 0.2)])
@@ -306,3 +352,85 @@ class TestOcclusionEndToEnd:
                 sum(s.raster.fragments_rasterized for s in culled)
                 < sum(s.raster.fragments_rasterized for s in base)
             )
+
+
+class PerTileReference(PolygonListBuilder):
+    """The occlusion pass one (primitive, tile) pair at a time: a
+    coverage mask, depth bound and occluding set per tile.  The block
+    pass must reproduce its bins, events and counters exactly."""
+
+    def begin_frame(self, ctx=None):
+        super().begin_frame(ctx)
+        self.ref_bounds, self.ref_sets = {}, {}
+
+    def _occlusion_update(self, prim, tile_ids):
+        state = prim.state
+        if not state.depth_write:
+            return
+        for tile_id in tile_ids:
+            rect = self._tile_rects[tile_id]
+            mask = coverage_mask(prim, rect)
+            if mask is None:
+                continue
+            bound = self.ref_bounds.setdefault(
+                tile_id, np.ones(mask.shape, dtype=np.float64)
+            )
+            if not state.shader.uses_alpha_blend and (
+                not state.depth_test
+                or float(prim.depth.max()) + OCCLUSION_DEPTH_MARGIN
+                < float(bound[mask].min())
+            ):
+                self._reference_fold(tile_id, mask)
+            np.minimum(bound, float(prim.depth.min()), out=bound,
+                       where=mask)
+
+    def _reference_fold(self, tile_id, mask):
+        newest = len(self.parameter_buffer.bins[tile_id]) - 1
+        if mask.all():
+            self.ref_sets.pop(tile_id, None)
+            self._complete_cover(tile_id, newest)
+            return
+        entry = self.ref_sets.setdefault(tile_id, [newest, mask.copy()])
+        entry[1] |= mask
+        if entry[1].all():
+            del self.ref_sets[tile_id]
+            self._complete_cover(tile_id, entry[0])
+
+
+class TestOcclusionMatchesPerTileReference:
+    def frame_drawcalls(self, alias, config, frames=2):
+        """Each frame's (state, primitives) binning calls, in order."""
+        gpu = Gpu(config)
+        scene = build_scene(alias)
+        calls = []
+        real = gpu.plb.bin_drawcall
+
+        def record(state, primitives):
+            calls[-1].append((state, list(primitives)))
+            real(state, primitives)
+
+        gpu.plb.bin_drawcall = record
+        for stream in scene.frames(frames):
+            calls.append([])
+            gpu.render_frame(stream, clear_color=scene.clear_color)
+        return calls
+
+    def test_bins_events_and_counters_match(self):
+        for size in (16, 8):
+            config = dataclasses.replace(PARTIAL_CONFIG, tile_size=size)
+            for alias in ("ccs", "hop", "mst"):
+                block = make_cull_plb(config)
+                reference = PerTileReference(config, Dram(config))
+                for drawcalls in self.frame_drawcalls(alias, config):
+                    for plb in (block, reference):
+                        plb.begin_frame()
+                        for state, primitives in drawcalls:
+                            plb.bin_drawcall(state, primitives)
+                    assert [list(map(id, b))
+                            for b in block.parameter_buffer.bins] == \
+                        [list(map(id, b))
+                         for b in reference.parameter_buffer.bins]
+                    assert block.occlusion_events == \
+                        reference.occlusion_events
+                assert block.stats == reference.stats, (size, alias)
+                assert block.stats.prims_occlusion_culled > 0

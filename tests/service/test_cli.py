@@ -71,6 +71,28 @@ class TestRunRoutesThroughService:
         assert manifest["final_frame_crc"] == direct.final_frame_crc
         assert manifest["checkpoint_path"] == "ck"
 
+    @pytest.mark.parametrize("flags", [
+        ["--checkpoint-out", "ck"],
+        ["--checkpoint-at", "1"],
+        ["--checkpoint-at", "0", "--checkpoint-out", "ck"],
+        ["--checkpoint-at", "2", "--checkpoint-out", "ck"],
+        ["--checkpoint-at", "5", "--checkpoint-out", "ck"],
+    ])
+    @pytest.mark.parametrize("supervision", [[], ["--retries", "0"]])
+    def test_bad_checkpoint_flags_refused_before_rendering(
+            self, tmp_path, monkeypatch, capsys, flags, supervision):
+        # A lone flag of the pair, or a checkpoint frame outside
+        # 1..frames-1, is refused on the in-process and the supervised
+        # path alike: exit 2, nothing rendered, no checkpoint written.
+        monkeypatch.chdir(tmp_path)
+        argv = (["--frames", "2"] + supervision
+                + ["run", "ccs", "--no-registry"] + flags)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--checkpoint-at" in captured.err
+        assert "ccs under re" not in captured.out
+        assert not (tmp_path / "ck").exists()
+
     def test_run_records_into_tenant_namespace(self, tmp_path, capsys):
         registry = str(tmp_path / "reg")
         assert main(["--frames", "2", "run", "ccs",
